@@ -2,6 +2,7 @@
 //! repetitions, then the traced pass. Every output is checked on the way;
 //! a failed check counts against the run's operations.
 
+use crate::host::HostSpeed;
 use crate::measure::{check_digest, digest, median, peak_rss_mb, quantile};
 use crate::replay::{self, LayerTrace, PhaseTimes, KINDS};
 use crate::workloads::{self, Workload, DEFAULT_GRID_FINGERPRINT, DEFAULT_GRID_REPLICATES};
@@ -131,8 +132,11 @@ fn list(samples: &[f64]) -> String {
 /// workload's worlds.
 #[derive(Debug, Clone, Copy, Default)]
 struct Setup {
-    /// World construction plus restaging: `setup_s`.
+    /// World construction plus restaging, at the reference host speed:
+    /// `setup_s`.
     total_s: f64,
+    /// The same in host seconds.
+    raw_total_s: f64,
     graph_s: f64,
     oracle_s: f64,
     edge_index_s: f64,
@@ -147,6 +151,9 @@ struct Setup {
 #[derive(Debug, Default)]
 struct SetupSamples {
     series: [Vec<f64>; 5],
+    /// `series[0]` at the reference host speed, for every burst rescaled
+    /// so far.
+    total_scaled: Vec<f64>,
     rss_mb: f64,
 }
 
@@ -189,9 +196,18 @@ impl SetupSamples {
         }
     }
 
+    /// Rescale the totals not rescaled yet by the host-speed `factor` of
+    /// the block they were measured in.
+    fn rescale(&mut self, factor: f64) {
+        let done = self.total_scaled.len();
+        self.total_scaled
+            .extend(self.series[0][done..].iter().map(|s| s * factor));
+    }
+
     fn medians(&self) -> Setup {
         Setup {
-            total_s: median(&self.series[0]),
+            total_s: median(&self.total_scaled),
+            raw_total_s: median(&self.series[0]),
             graph_s: median(&self.series[1]),
             oracle_s: median(&self.series[2]),
             edge_index_s: median(&self.series[3]),
@@ -239,6 +255,44 @@ fn ratio(numerator: f64, denominator: f64) -> f64 {
     }
 }
 
+/// The host seconds behind the rescaled end-to-end times, and the
+/// host-speed probe's median reading.
+#[derive(Debug, Clone, Copy, Default)]
+struct HostTimes {
+    probe_s: f64,
+    wall_raw_s: f64,
+    setup_raw_s: f64,
+}
+
+impl HostTimes {
+    fn new(speed: &HostSpeed, walls: &Walls, setup: &Setup) -> Self {
+        HostTimes {
+            probe_s: median(speed.readings()),
+            wall_raw_s: median(&walls.raw),
+            setup_raw_s: setup.raw_total_s,
+        }
+    }
+}
+
+/// Host time of each measured repetition, and the same at the reference
+/// host speed.
+#[derive(Debug, Default)]
+struct Walls {
+    raw: Vec<f64>,
+    scaled: Vec<f64>,
+}
+
+impl Walls {
+    fn push(&mut self, raw_s: f64, factor: f64) {
+        self.raw.push(raw_s);
+        self.scaled.push(raw_s * factor);
+    }
+
+    fn len(&self) -> usize {
+        self.raw.len()
+    }
+}
+
 fn end_to_end(walls_s: &[f64], setup: &Setup, peak_mb: f64) -> Vec<Metric> {
     vec![
         metric("wall_s", median(walls_s), "s"),
@@ -253,6 +307,7 @@ fn per_layer(
     totals: &ResultTotals,
     setup: &Setup,
     campaign: &CampaignTimes,
+    host: &HostTimes,
 ) -> Vec<Metric> {
     let events = trace.events as f64;
     let mut out = vec![
@@ -332,6 +387,9 @@ fn per_layer(
             "ratio",
         ),
         metric("trace.accounted_ratio", trace.accounted_ratio(), "ratio"),
+        metric("host.probe_s", host.probe_s, "s"),
+        metric("host.wall_raw_s", host.wall_raw_s, "s"),
+        metric("host.setup_raw_s", host.setup_raw_s, "s"),
     ]);
     out
 }
@@ -341,14 +399,16 @@ fn run_single(options: &Options, config: ExperimentConfig) -> Report {
     let mut report = Report::default();
     let pinned = options.workload.pinned_digest(options.seed);
     let configs = std::slice::from_ref(&config);
+    let mut speed = HostSpeed::start();
     let mut setup = SetupSamples::default();
     setup.burst(configs, FIRST_SETUP_BURST);
+    setup.rescale(speed.rescale());
 
     // Measured, untraced: `Experiment::run` to a serialized, checked result.
     let mut reference: Option<(ExperimentResult, String)> = None;
-    let mut walls_s = Vec::new();
+    let mut walls = Walls::default();
     let started = Instant::now();
-    while walls_s.len() < MIN_REPS || started.elapsed().as_secs_f64() < options.seconds {
+    while walls.len() < MIN_REPS || started.elapsed().as_secs_f64() < options.seconds {
         let t0 = Instant::now();
         let outcome = panicked(
             catch_unwind(|| Experiment::new(config).run()),
@@ -370,16 +430,24 @@ fn run_single(options: &Options, config: ExperimentConfig) -> Report {
                 }
             }
         });
-        walls_s.push(t0.elapsed().as_secs_f64());
+        let wall_s = t0.elapsed().as_secs_f64();
         report.record(outcome);
         setup.burst(configs, SETUP_BURST);
+        let factor = speed.rescale();
+        walls.push(wall_s, factor);
+        setup.rescale(factor);
     }
     let peak_mb = peak_rss_mb();
     let setup = setup.medians();
+    let host = HostTimes::new(&speed, &walls, &setup);
     report.notes.push(format!(
-        "{} untraced runs, seconds: {}",
-        walls_s.len(),
-        list(&walls_s)
+        "{} untraced runs, host seconds: {}",
+        walls.len(),
+        list(&walls.raw)
+    ));
+    report.notes.push(format!(
+        "at the reference host speed: {}",
+        list(&walls.scaled)
     ));
     if let Some((_, d)) = &reference {
         report.notes.push(format!(
@@ -391,7 +459,7 @@ fn run_single(options: &Options, config: ExperimentConfig) -> Report {
             }
         ));
     }
-    report.end_to_end = end_to_end(&walls_s, &setup, peak_mb);
+    report.end_to_end = end_to_end(&walls.scaled, &setup, peak_mb);
 
     let same_as_reference = |result: &ExperimentResult, what: &str| match &reference {
         Some((first, _)) if first != result => {
@@ -422,8 +490,14 @@ fn run_single(options: &Options, config: ExperimentConfig) -> Report {
         match (replayed, trace) {
             (Ok((result, times)), Some((trace, totals))) => {
                 report.record(same_as_reference(&result, "untraced replay"));
-                report.per_layer =
-                    per_layer(&trace, &times, &totals, &setup, &CampaignTimes::default());
+                report.per_layer = per_layer(
+                    &trace,
+                    &times,
+                    &totals,
+                    &setup,
+                    &CampaignTimes::default(),
+                    &host,
+                );
             }
             (replayed, _) => report.record(replayed.map(|_| ())),
         }
@@ -509,14 +583,16 @@ fn run_grid(options: &Options) -> Report {
     let ids: Vec<usize> = (0..scenarios.len()).collect();
     let pinned = options.workload.pinned_digest(options.seed);
     let fingerprint = check_grid_fingerprint(options);
+    let mut speed = HostSpeed::start();
     let mut setup = SetupSamples::default();
     setup.burst(&configs, FIRST_SETUP_BURST);
+    setup.rescale(speed.rescale());
 
     let mut reference: Option<(Vec<ScenarioOutcome>, String)> = None;
-    let (mut walls_s, mut gaps_ms) = (Vec::new(), Vec::new());
+    let (mut walls, mut gaps_ms) = (Walls::default(), Vec::new());
     let mut stages: [Vec<f64>; 3] = Default::default();
     let started = Instant::now();
-    while walls_s.len() < MIN_REPS || started.elapsed().as_secs_f64() < options.seconds {
+    while walls.len() < MIN_REPS || started.elapsed().as_secs_f64() < options.seconds {
         let t0 = Instant::now();
         let pass = match panicked(catch_unwind(|| grid_pass(&grid, &ids)), "campaign pass") {
             Ok(pass) => pass,
@@ -547,7 +623,7 @@ fn run_grid(options: &Options) -> Report {
                 )));
             }
         }
-        walls_s.push(t0.elapsed().as_secs_f64());
+        let wall_s = t0.elapsed().as_secs_f64();
         for check in checks {
             report.record(check);
         }
@@ -563,14 +639,22 @@ fn run_grid(options: &Options) -> Report {
             reference = Some((pass.outcomes, pass.digest));
         }
         setup.burst(&configs, SETUP_BURST);
+        let factor = speed.rescale();
+        walls.push(wall_s, factor);
+        setup.rescale(factor);
     }
     let peak_mb = peak_rss_mb();
     let setup = setup.medians();
+    let host = HostTimes::new(&speed, &walls, &setup);
     report.notes.push(format!(
-        "{} campaign passes of {} scenarios, seconds: {}",
-        walls_s.len(),
+        "{} campaign passes of {} scenarios, host seconds: {}",
+        walls.len(),
         ids.len(),
-        list(&walls_s)
+        list(&walls.raw)
+    ));
+    report.notes.push(format!(
+        "at the reference host speed: {}",
+        list(&walls.scaled)
     ));
     if options.trace {
         report.notes.push(format!(
@@ -588,7 +672,7 @@ fn run_grid(options: &Options) -> Report {
             }
         ));
     }
-    report.end_to_end = end_to_end(&walls_s, &setup, peak_mb);
+    report.end_to_end = end_to_end(&walls.scaled, &setup, peak_mb);
     if reference.is_none() {
         return report;
     }
@@ -647,7 +731,7 @@ fn run_grid(options: &Options) -> Report {
             scenario_p50_ms: quantile(&gaps_ms, 0.50),
             scenario_p99_ms: quantile(&gaps_ms, 0.99),
         };
-        report.per_layer = per_layer(&trace, &replay_times, &totals, &setup, &campaign);
+        report.per_layer = per_layer(&trace, &replay_times, &totals, &setup, &campaign, &host);
     }
     report
 }

@@ -5,6 +5,7 @@
 //! itself is not changed. See `perfbench/README.md`.
 
 pub mod bench;
+pub mod host;
 pub mod measure;
 pub mod replay;
 pub mod workloads;

@@ -7,6 +7,7 @@
 //! arguments or a non-default simulator backend.
 
 use perfbench::bench::{self, Metric, Options};
+use perfbench::host;
 use perfbench::workloads::{Workload, ALL};
 use std::process::ExitCode;
 
@@ -69,6 +70,10 @@ fn json_metrics(metrics: &[Metric]) -> String {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args == [host::PROBE_FLAG] {
+        println!("{}", host::probe_kernel());
+        return ExitCode::SUCCESS;
+    }
     let options = match parse_args(&args) {
         Ok(options) => options,
         Err(e) => {
@@ -88,6 +93,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
+    let pinned = host::pin_to_current_cpu();
     let report = bench::run(&options);
 
     let exact_samples = std::env::var("QNET_EXACT_SAMPLES").unwrap_or_else(|_| "unset".into());
@@ -99,6 +105,10 @@ fn main() -> ExitCode {
         u8::from(options.trace)
     );
     println!("env QNET_EXACT_SAMPLES={exact_samples}");
+    match pinned {
+        Ok(cpu) => println!("note pinned to CPU {cpu}, with the host-speed probe"),
+        Err(e) => println!("note not pinned to one CPU: {e}"),
+    }
     for note in &report.notes {
         println!("note {note}");
     }

@@ -3,6 +3,7 @@
 //! and its correctness gates reject wrong output.
 
 use perfbench::bench::check_accounting;
+use perfbench::host::{probe_in_child, rescale_factor, REFERENCE_PROBE_S};
 use perfbench::measure::{check_digest, digest, quantile};
 use perfbench::replay::{self, KINDS};
 use perfbench::workloads::{self, Workload, DEFAULT_GRID_FINGERPRINT, DEFAULT_GRID_REPLICATES};
@@ -120,4 +121,18 @@ fn quantiles_are_nearest_rank() {
     assert_eq!(quantile(&samples, 0.99), 99.0);
     assert_eq!(quantile(&[3.0], 0.99), 3.0);
     assert_eq!(quantile(&[], 0.5), 0.0);
+}
+
+#[test]
+fn host_probe_runs_in_a_child_and_rescales_to_the_reference() {
+    let probe_s = probe_in_child(std::path::Path::new(env!("CARGO_BIN_EXE_perfbench"))).unwrap();
+    assert!(probe_s > 0.0 && probe_s.is_finite());
+    assert_eq!(rescale_factor(REFERENCE_PROBE_S, REFERENCE_PROBE_S), 1.0);
+    // A host running at half speed halves the reference seconds per host second.
+    let slow = 2.0 * REFERENCE_PROBE_S;
+    assert_eq!(rescale_factor(slow, slow), 0.5);
+    assert_eq!(
+        rescale_factor(REFERENCE_PROBE_S, 3.0 * REFERENCE_PROBE_S),
+        0.5
+    );
 }
