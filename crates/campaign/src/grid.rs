@@ -48,8 +48,8 @@ pub struct CellKey {
     pub topology: String,
     /// Node count of the topology.
     pub nodes: usize,
-    /// Swap policy (serialized under its legacy `ProtocolMode` label for
-    /// the built-ins, so pre-refactor reports keep their bytes).
+    /// Swap policy (serialized under its original CamelCase label for the
+    /// built-ins, so pre-refactor reports keep their bytes).
     pub mode: PolicyId,
     /// Distillation overhead `D`.
     pub distillation: f64,

@@ -1,14 +1,11 @@
-//! Differential determinism tests over the knowledge backends.
+//! Determinism of the `campaign` binary on its two standing grids.
 //!
-//! Global knowledge runs through the stale control plane by default (every
-//! row refreshed synchronously, ages pinned at zero); the legacy truth
-//! backend survives behind `QNET_KNOWLEDGE=truth`. The two must be
-//! indistinguishable at the byte level: this spawns the real `campaign`
-//! binary over the **default 108-scenario paper grid** once per backend and
-//! compares every produced byte — the aggregate report and the per-scenario
-//! outcome cache. It also re-pins the default grid's fingerprint (the cache
-//! file name is part of the on-disk contract; adding the knowledge axis
-//! must not have moved it).
+//! The first test spawns the real binary twice over the **default
+//! 108-scenario paper grid** and compares every produced byte: the
+//! aggregate report and the per-scenario outcome cache. It also pins the
+//! default grid's fingerprint — the cache file name is part of the on-disk
+//! contract, and an accidental grid change would silently orphan every
+//! existing cache.
 //!
 //! The second test is the stale-knowledge determinism smoke: a genuinely
 //! gossiping grid (nonzero refresh period, so rows age and swaps can miss)
@@ -27,17 +24,17 @@ fn campaign_bin() -> &'static str {
 /// every axis value, master seed, and replicate count).
 const DEFAULT_GRID_FINGERPRINT: &str = "3d0ceedd6e2ff513";
 
-fn run_default_grid(dir: &Path, backend: Option<&str>) -> (Vec<u8>, Vec<u8>) {
+fn run_default_grid(dir: &Path) -> (Vec<u8>, Vec<u8>) {
     let out = dir.join("report.jsonl");
     let cache = dir.join("cache");
-    let mut cmd = Command::new(campaign_bin());
-    cmd.arg("--out").arg(&out).arg("--cache-dir").arg(&cache);
-    match backend {
-        Some(b) => cmd.env("QNET_KNOWLEDGE", b),
-        None => cmd.env_remove("QNET_KNOWLEDGE"),
-    };
-    let status = cmd.status().expect("spawn campaign binary");
-    assert!(status.success(), "campaign run failed ({backend:?})");
+    let status = Command::new(campaign_bin())
+        .arg("--out")
+        .arg(&out)
+        .arg("--cache-dir")
+        .arg(&cache)
+        .status()
+        .expect("spawn campaign binary");
+    assert!(status.success(), "campaign run failed");
     let outcomes = cache.join(format!("outcomes-{DEFAULT_GRID_FINGERPRINT}.jsonl"));
     assert!(
         outcomes.is_file(),
@@ -56,36 +53,32 @@ fn run_default_grid(dir: &Path, backend: Option<&str>) -> (Vec<u8>, Vec<u8>) {
 }
 
 #[test]
-fn default_grid_is_byte_identical_across_knowledge_backends() {
-    let base = std::env::temp_dir().join(format!(
-        "qnet-knowledge-backend-diff-{}",
-        std::process::id()
-    ));
-    let truth_dir = base.join("truth");
-    let stale_dir = base.join("stale");
-    fs::create_dir_all(&truth_dir).unwrap();
-    fs::create_dir_all(&stale_dir).unwrap();
+fn default_grid_is_byte_identical_across_runs() {
+    let base = std::env::temp_dir().join(format!("qnet-default-grid-{}", std::process::id()));
+    let first_dir = base.join("first");
+    let second_dir = base.join("second");
+    fs::create_dir_all(&first_dir).unwrap();
+    fs::create_dir_all(&second_dir).unwrap();
 
-    // Default (stale plane with zero-age global rows) vs the legacy escape.
-    let (stale_report, stale_outcomes) = run_default_grid(&stale_dir, None);
-    let (truth_report, truth_outcomes) = run_default_grid(&truth_dir, Some("truth"));
+    let (first_report, first_outcomes) = run_default_grid(&first_dir);
+    let (second_report, second_outcomes) = run_default_grid(&second_dir);
 
-    assert!(
-        stale_report == truth_report,
-        "aggregate report differs between stale and truth knowledge backends"
-    );
-    assert!(
-        stale_outcomes == truth_outcomes,
-        "outcome cache differs between stale and truth knowledge backends"
-    );
-    // 108 outcome lines (the full default grid), 31 aggregate lines — and no
-    // staleness columns anywhere: global rows never go stale.
-    assert_eq!(stale_outcomes.iter().filter(|&&b| b == b'\n').count(), 108);
-    assert_eq!(stale_report.iter().filter(|&&b| b == b'\n').count(), 31);
-    let cache_text = String::from_utf8(stale_outcomes).unwrap();
+    // 108 outcome lines (the full default grid), 31 aggregate lines — and
+    // no staleness columns anywhere: global rows never go stale.
+    assert_eq!(first_outcomes.iter().filter(|&&b| b == b'\n').count(), 108);
+    assert_eq!(first_report.iter().filter(|&&b| b == b'\n').count(), 31);
+    let cache_text = String::from_utf8(first_outcomes.clone()).unwrap();
     assert!(
         !cache_text.contains("stale_row_age") && !cache_text.contains("missed_swaps"),
         "global-knowledge rows must not grow staleness columns"
+    );
+    assert!(
+        first_report == second_report,
+        "aggregate report differs between two default runs"
+    );
+    assert!(
+        first_outcomes == second_outcomes,
+        "outcome cache differs between two default runs"
     );
 
     fs::remove_dir_all(&base).ok();

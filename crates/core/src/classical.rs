@@ -2,10 +2,11 @@
 //!
 //! Swapping, teleportation and distillation all require classical messages
 //! (paper §2 "Classical overheads" and the §4 note about sharing the
-//! `|N| choose 2` edge counts). The simulation does not model classical
-//! latency — the paper argues high-speed classical networks make it feasible
-//! — but it *does* count the messages and bits each knowledge model incurs,
-//! so the §6 gossip experiment can quantify the savings.
+//! `|N| choose 2` edge counts). This module counts the messages and bits
+//! each knowledge model incurs, so the §6 gossip experiment can quantify
+//! the savings. Classical latency matters only for gossip knowledge, and
+//! there the stale control plane ([`crate::control`]) models it: pulled
+//! rows and coordinated swaps arrive after their propagation delay.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -69,11 +70,10 @@ pub enum KnowledgeModel {
     /// `C_x(y)`. Each inventory change is broadcast to all other nodes.
     Global,
     /// The §6 BitTorrent-like relaxation: nodes periodically pull the count
-    /// rows of `peers_per_refresh` rotating peers. Under the default stale
-    /// control plane ([`crate::control`]) the pulled rows arrive after the
-    /// classical propagation delay and policies decide on the resulting
-    /// stale views; `QNET_KNOWLEDGE=truth` reverts to the legacy
-    /// message-counting-only behaviour (instant refresh at every scan).
+    /// rows of `peers_per_refresh` rotating peers. The stale control plane
+    /// ([`crate::control`]) delivers the pulled rows after the classical
+    /// propagation delay, and policies decide on the resulting stale
+    /// views.
     Gossip {
         /// How many peers' count rows are refreshed per exchange.
         peers_per_refresh: usize,
@@ -214,8 +214,8 @@ impl KnowledgeModel {
         }
     }
 
-    /// `true` for models whose runs consult stale believed counts under
-    /// the default control-plane backend (i.e. everything but `Global`).
+    /// `true` for models whose runs consult stale believed counts (i.e.
+    /// everything but `Global`).
     pub fn is_stale(&self) -> bool {
         !matches!(self, KnowledgeModel::Global)
     }

@@ -1,16 +1,14 @@
 //! Latency-aware gossip: rotating row pulls with in-flight deliveries.
 //!
-//! [`StaleControl`] is the event-driven successor to the synchronous
-//! [`crate::gossip::GossipState`]. Each node runs a periodic
-//! `GossipExchange`: it pulls the full buffer-count rows of
-//! `peers_per_refresh` rotating peers (the same deterministic cursor
-//! rotation as the legacy state, so `QNET_KNOWLEDGE=truth` reproduces the
-//! old refresh order exactly), but the pulled rows are *snapshots in
-//! flight* — they arrive after the classical propagation delay of the
-//! node↔peer fibre path plus a fixed processing delay, and are installed
-//! into the puller's [`KnowledgeView`] only once matured. Between refreshes
-//! of a row, the believed count drifts from truth; that drift is the
-//! staleness the §6 curves measure.
+//! [`StaleControl`] models the paper's §6 BitTorrent-like relaxation as
+//! events. Each node runs a periodic `GossipExchange`: it pulls the full
+//! buffer-count rows of `peers_per_refresh` peers, chosen by a
+//! deterministic round-robin cursor that skips the node itself, but the
+//! pulled rows are *snapshots in flight* — they arrive after the classical
+//! propagation delay of the node↔peer fibre path plus a fixed processing
+//! delay, and are installed into the puller's [`KnowledgeView`] only once
+//! matured. Between refreshes of a row, the believed count drifts from
+//! truth; that drift is the staleness the §6 curves measure.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -129,12 +127,10 @@ impl StaleControl {
     /// Run one gossip exchange for `node` at `now`: snapshot the rows of
     /// its next `peers_per_refresh` rotating peers from ground truth and
     /// put them in flight towards `node`'s view. Returns the number of
-    /// row-transfer messages issued (the classical-overhead unit the
-    /// legacy model counts per scan).
+    /// row-transfer messages issued (the classical-overhead unit).
     ///
-    /// The peer rotation is byte-for-byte the legacy
-    /// [`crate::gossip::GossipState::refresh`] rotation — only the
-    /// delivery timing differs between the two backends.
+    /// Each node's cursor starts at peer 0, skips the node itself and
+    /// wraps around, so coverage rotates over every other node.
     pub fn exchange(&mut self, now: SimTime, node: NodeId, truth: &Inventory) -> u64 {
         let n = self.node_count();
         if n <= 1 {
@@ -237,35 +233,36 @@ mod tests {
     }
 
     #[test]
-    fn rotation_matches_the_legacy_gossip_state() {
+    fn rotation_starts_at_zero_skips_self_and_wraps() {
         let n = 5;
         let mut ctl = control(n, 2, 0.25);
-        let mut legacy = crate::gossip::GossipState::new(n, 2);
         let inv = seeded_inventory(n);
-        // Drive both backends through several refresh rounds and compare
-        // the matured stale views against the instantly-refreshed legacy
-        // views: same rotation, same rows.
-        let mut now = SimTime::ZERO;
+        // The peers each node pulls in four successive exchanges.
+        let expected: [[[usize; 2]; 4]; 5] = [
+            [[1, 2], [3, 4], [1, 2], [3, 4]],
+            [[0, 2], [3, 4], [0, 2], [3, 4]],
+            [[0, 1], [3, 4], [0, 1], [3, 4]],
+            [[0, 1], [2, 4], [0, 1], [2, 4]],
+            [[0, 1], [2, 3], [0, 1], [2, 3]],
+        ];
         for round in 0..4 {
+            let now = SimTime::from_secs(round as u64 + 1);
             for i in 0..n {
-                let node = NodeId::from(i);
-                ctl.exchange(now, node, &inv);
-                legacy.refresh(node, &inv);
+                assert_eq!(ctl.exchange(now, NodeId::from(i), &inv), 2);
             }
-            now = SimTime::from_secs_f64(0.25 * (round + 1) as f64);
+            ctl.deliver_matured(now + SimDuration::from_secs_f64(0.5));
+            for (i, rounds) in expected.iter().enumerate() {
+                let view = ctl.view(NodeId::from(i));
+                let pulled: Vec<usize> = (0..n)
+                    .filter(|&o| view.row_refreshed_at(NodeId::from(o)) == now)
+                    .collect();
+                assert_eq!(pulled, rounds[round], "node {i} round {round}");
+            }
         }
-        // Truth never mutates, so once everything matures the stale views
-        // must agree with the legacy views row for row.
-        ctl.deliver_matured(SimTime::from_secs_f64(10.0));
+        // Truth never mutated, so every matured view holds the true rows.
         for i in 0..n {
-            let node = NodeId::from(i);
-            let legacy_view = legacy.view_of(node);
             for p in qnet_topology::pairs::all_pairs(n) {
-                assert_eq!(
-                    ctl.view(node).count(p),
-                    legacy_view.count(p),
-                    "node {i} pair {p:?}"
-                );
+                assert_eq!(ctl.view(NodeId::from(i)).count(p), inv.count(p));
             }
         }
     }

@@ -12,7 +12,7 @@ use crate::classical::KnowledgeModel;
 use crate::config::NetworkConfig;
 use crate::metrics::RunMetrics;
 use crate::network::QuantumNetworkWorld;
-pub use crate::policy::{PolicyId, ProtocolMode};
+pub use crate::policy::PolicyId;
 use crate::workload::{Workload, WorkloadSpec};
 use qnet_sim::{Engine, EventQueue, SimTime, StopCondition, World};
 use qnet_topology::Topology;
@@ -77,10 +77,9 @@ impl ExperimentConfig {
         }
     }
 
-    /// Builder: select the swap policy (anything convertible to a
-    /// [`PolicyId`], including the legacy [`ProtocolMode`] variants).
-    pub fn with_policy(mut self, policy: impl Into<PolicyId>) -> Self {
-        self.mode = policy.into();
+    /// Builder: select the swap policy.
+    pub fn with_policy(mut self, policy: PolicyId) -> Self {
+        self.mode = policy;
         self
     }
 }
@@ -343,18 +342,6 @@ mod tests {
         let rb = Experiment::new(base).run();
         let rh = Experiment::new(hybrid).run();
         assert!(rh.satisfied_requests >= rb.satisfied_requests);
-    }
-
-    #[test]
-    fn legacy_protocol_mode_still_selects_policies() {
-        // The ProtocolMode shim converts into the same runs as PolicyId.
-        let direct = small_config().with_policy(PolicyId::HYBRID);
-        let shimmed = small_config().with_policy(ProtocolMode::Hybrid);
-        assert_eq!(direct, shimmed);
-        assert_eq!(
-            Experiment::new(direct).run(),
-            Experiment::new(shimmed).run()
-        );
     }
 
     #[test]

@@ -25,6 +25,10 @@
 //! physics — the default) none of this code runs and behaviour is
 //! bit-identical to the count-space model.
 //!
+//! The lots live in one flat store: a triangular `pair → slot` table into
+//! a slab of per-pair FIFO queues, plus a sorted list of occupied pairs, so
+//! whole-store walks visit pools in lexicographic pair order.
+//!
 //! Serialization intentionally covers only the count-space state (the
 //! legacy byte layout); the lot store is runtime-only.
 
@@ -34,7 +38,7 @@ use qnet_quantum::swap::swap_werner_fidelity;
 use qnet_sim::{SimDuration, SimTime};
 use qnet_topology::{NodeId, NodePair, PairMatrix};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Reasons an inventory mutation can be refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,44 +73,13 @@ pub struct PairLot {
     pub coherence_time_s: f64,
 }
 
-/// Which data structures back the lot store's pools and link overrides.
-///
-/// Selected per inventory at construction: explicitly via
-/// [`Inventory::with_backend`], or for [`Inventory::new`] from the
-/// `QNET_INVENTORY` environment variable (`flat` / `btree`; unset or
-/// unrecognized means the default flat backend). Both backends keep pools
-/// in the exact same per-pool order and walk them in the exact same
-/// lexicographic [`NodePair`] order, so switching backends never changes
-/// simulation output — only its speed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum InventoryBackend {
-    /// Contiguous slot-map pools addressed by a dense triangular pair index
-    /// (default): O(1) pool addressing, cache-friendly ordered walks.
-    #[default]
-    Flat,
-    /// `BTreeMap`-keyed pools — the historical implementation, kept as a
-    /// runtime fallback and differential oracle.
-    BTree,
-}
-
-/// Backend requested by the `QNET_INVENTORY` environment variable
-/// (consulted per inventory creation so tests can toggle it): `btree` /
-/// `b-tree` / `btreemap` select the legacy maps, anything else (including
-/// unset) the flat backend.
-fn backend_from_env() -> InventoryBackend {
-    match std::env::var("QNET_INVENTORY") {
-        Ok(v) if matches!(v.as_str(), "btree" | "b-tree" | "btreemap") => InventoryBackend::BTree,
-        _ => InventoryBackend::Flat,
-    }
-}
-
 /// The sentinel marking "no pool allocated" in [`FlatPools::slot_of`].
 const NO_SLOT: u32 = u32::MAX;
 
 /// Flat pool storage: a dense triangular `pair → slot` table into a slab of
 /// pool queues, plus a sorted occupied-pair list so ordered whole-store
-/// walks (cutoff sweeps, earliest-lot queries) visit pools in exactly the
-/// lexicographic `NodePair` order the `BTreeMap` backend iterates in.
+/// walks (cutoff sweeps, earliest-lot queries) visit pools in lexicographic
+/// `NodePair` order — the order the original dense matrix scan produced.
 ///
 /// Swap products entangle arbitrary node pairs, not just generation-graph
 /// edges, so the slot table is **pair**-dense (N·(N−1)/2 entries) rather
@@ -190,85 +163,75 @@ impl FlatPools {
             }
         }
     }
-}
-
-/// Pool/override storage behind the lot store, one variant per
-/// [`InventoryBackend`]. Every method pair is order-identical across the
-/// variants — same per-pool FIFO order, same lexicographic whole-store walk
-/// — which is what lets `QNET_INVENTORY` switch backends without moving a
-/// single golden byte.
-#[derive(Debug, Clone)]
-enum PoolStore {
-    BTree {
-        pools: BTreeMap<NodePair, VecDeque<PairLot>>,
-        link_overrides: BTreeMap<NodePair, (f64, f64)>,
-    },
-    Flat(FlatPools),
-}
-
-impl PoolStore {
-    fn pool(&self, pair: NodePair) -> Option<&VecDeque<PairLot>> {
-        match self {
-            PoolStore::BTree { pools, .. } => pools.get(&pair),
-            PoolStore::Flat(flat) => flat.pool(pair),
-        }
-    }
-
-    fn push(&mut self, pair: NodePair, lot: PairLot) {
-        match self {
-            PoolStore::BTree { pools, .. } => pools.entry(pair).or_default().push_back(lot),
-            PoolStore::Flat(flat) => flat.push(pair, lot),
-        }
-    }
 
     fn link_override(&self, pair: NodePair) -> Option<(f64, f64)> {
-        match self {
-            PoolStore::BTree { link_overrides, .. } => link_overrides.get(&pair).copied(),
-            PoolStore::Flat(flat) => flat
-                .link_overrides
-                .binary_search_by_key(&pair, |&(p, _)| p)
-                .ok()
-                .map(|pos| flat.link_overrides[pos].1),
-        }
+        self.link_overrides
+            .binary_search_by_key(&pair, |&(p, _)| p)
+            .ok()
+            .map(|pos| self.link_overrides[pos].1)
     }
 
     fn set_link_overrides(&mut self, links: impl IntoIterator<Item = (NodePair, (f64, f64))>) {
-        match self {
-            PoolStore::BTree { link_overrides, .. } => {
-                *link_overrides = links.into_iter().collect()
-            }
-            PoolStore::Flat(flat) => {
-                flat.link_overrides = links.into_iter().collect();
-                flat.link_overrides.sort_unstable_by_key(|&(p, _)| p);
+        self.link_overrides = links.into_iter().collect();
+        self.link_overrides.sort_unstable_by_key(|&(p, _)| p);
+    }
+
+    /// Creation time of the oldest lot across all occupied pools.
+    fn earliest(&self) -> Option<SimTime> {
+        self.occupied
+            .iter()
+            .flat_map(|&pair| self.pool(pair).and_then(|pool| pool.front()))
+            .map(|lot| lot.created_at)
+            .min()
+    }
+
+    /// Pop every pool-front lot with `created_at + cutoff <= clock`, in
+    /// lexicographic pair order, returning one `pair` per popped lot; then
+    /// recycle the slots of pools the sweep emptied.
+    fn purge(&mut self, cutoff: SimDuration, clock: SimTime) -> Vec<NodePair> {
+        let mut expired = Vec::new();
+        for k in 0..self.occupied.len() {
+            let pair = self.occupied[k];
+            let slot = self.slot(pair) as usize;
+            let pool = &mut self.slab[slot];
+            while let Some(front) = pool.front() {
+                if front.created_at + cutoff <= clock {
+                    pool.pop_front();
+                    expired.push(pair);
+                } else {
+                    break;
+                }
             }
         }
+        let mut k = 0;
+        while k < self.occupied.len() {
+            let pair = self.occupied[k];
+            let t = self.tri(pair);
+            let slot = self.slot_of[t];
+            if self.slab[slot as usize].is_empty() {
+                self.slot_of[t] = NO_SLOT;
+                self.free.push(slot);
+                self.occupied.remove(k);
+            } else {
+                k += 1;
+            }
+        }
+        expired
     }
 }
 
-impl PartialEq for PoolStore {
+impl PartialEq for FlatPools {
     /// Logical equality: same occupied pools with the same lots in the same
     /// order, and the same overrides — independent of slab layout, so two
     /// stores that converged through different histories still compare
-    /// equal, and `BTree == Flat` whenever their contents agree.
+    /// equal.
     fn eq(&self, other: &Self) -> bool {
-        let overrides = |store: &Self| -> Vec<(NodePair, (f64, f64))> {
-            match store {
-                PoolStore::BTree { link_overrides, .. } => {
-                    link_overrides.iter().map(|(&p, &v)| (p, v)).collect()
-                }
-                PoolStore::Flat(flat) => flat.link_overrides.clone(),
-            }
-        };
-        let occupied = |store: &Self| -> Vec<NodePair> {
-            match store {
-                PoolStore::BTree { pools, .. } => pools.keys().copied().collect(),
-                PoolStore::Flat(flat) => flat.occupied.clone(),
-            }
-        };
-        let (a, b) = (occupied(self), occupied(other));
-        a == b
-            && overrides(self) == overrides(other)
-            && a.iter().all(|&pair| self.pool(pair) == other.pool(pair))
+        self.occupied == other.occupied
+            && self.link_overrides == other.link_overrides
+            && self
+                .occupied
+                .iter()
+                .all(|&pair| self.pool(pair) == other.pool(pair))
     }
 }
 
@@ -278,17 +241,17 @@ impl PartialEq for PoolStore {
 ///
 /// Pools hold only *occupied* pairs, so whole-store walks (cutoff sweeps,
 /// earliest-lot queries) cost O(stored pairs) instead of O(N²) — the
-/// difference between |N| = 49 and |N| = 10³ — and both [`PoolStore`]
-/// backends walk them in exactly the lexicographic `all_pairs` order the
-/// original dense matrix scanned in, so expiry event order (and with it
-/// every decoherent golden result) is backend-independent.
+/// difference between |N| = 49 and |N| = 10³ — and walk them in exactly
+/// the lexicographic `all_pairs` order the original dense matrix scanned
+/// in, which fixes expiry event order and with it every decoherent golden
+/// result.
 #[derive(Debug, Clone, PartialEq)]
 struct LotStore {
     decoherence: DecoherenceModel,
     initial_fidelity: f64,
     order: ConsumeOrder,
     clock: SimTime,
-    pools: PoolStore,
+    pools: FlatPools,
 }
 
 /// Fidelity of `lot` at `clock`, decayed under the lot's own memory
@@ -302,19 +265,13 @@ fn aged_fidelity_at(clock: SimTime, lot: &PairLot) -> f64 {
 }
 
 impl LotStore {
-    fn new(physics: &PhysicsModel, n: usize, backend: InventoryBackend) -> Self {
+    fn new(physics: &PhysicsModel, n: usize) -> Self {
         LotStore {
             decoherence: physics.decoherence_model(),
             initial_fidelity: physics.initial_fidelity(),
             order: physics.consume_order(),
             clock: SimTime::ZERO,
-            pools: match backend {
-                InventoryBackend::BTree => PoolStore::BTree {
-                    pools: BTreeMap::new(),
-                    link_overrides: BTreeMap::new(),
-                },
-                InventoryBackend::Flat => PoolStore::Flat(FlatPools::new(n)),
-            },
+            pools: FlatPools::new(n),
         }
     }
 
@@ -359,43 +316,29 @@ impl LotStore {
         let order = self.order;
         let mut best = 0.25f64;
         let mut weakest_t2 = f64::INFINITY;
-        {
-            let pool = match &mut self.pools {
-                PoolStore::BTree { pools, .. } => pools.entry(pair).or_default(),
-                PoolStore::Flat(flat) => {
-                    let slot = flat.slot(pair);
-                    assert!(
-                        slot != NO_SLOT || count == 0,
-                        "lot store out of sync with counts for {pair}"
-                    );
-                    if slot == NO_SLOT {
-                        return (best, weakest_t2);
-                    }
-                    &mut flat.slab[slot as usize]
-                }
-            };
-            assert!(
-                pool.len() as u64 >= count,
-                "lot store out of sync with counts for {pair}"
-            );
-            for _ in 0..count {
-                let lot = match order {
-                    ConsumeOrder::OldestFirst => pool.pop_front(),
-                    ConsumeOrder::NewestFirst => pool.pop_back(),
-                }
-                .expect("length checked");
-                best = best.max(aged_fidelity_at(clock, &lot));
-                weakest_t2 = weakest_t2.min(lot.coherence_time_s);
-            }
+        let slot = self.pools.slot(pair);
+        assert!(
+            slot != NO_SLOT || count == 0,
+            "lot store out of sync with counts for {pair}"
+        );
+        if slot == NO_SLOT {
+            return (best, weakest_t2);
         }
-        match &mut self.pools {
-            PoolStore::BTree { pools, .. } => {
-                if pools.get(&pair).is_some_and(|pool| pool.is_empty()) {
-                    pools.remove(&pair);
-                }
+        let pool = &mut self.pools.slab[slot as usize];
+        assert!(
+            pool.len() as u64 >= count,
+            "lot store out of sync with counts for {pair}"
+        );
+        for _ in 0..count {
+            let lot = match order {
+                ConsumeOrder::OldestFirst => pool.pop_front(),
+                ConsumeOrder::NewestFirst => pool.pop_back(),
             }
-            PoolStore::Flat(flat) => flat.release_if_empty(pair),
+            .expect("length checked");
+            best = best.max(aged_fidelity_at(clock, &lot));
+            weakest_t2 = weakest_t2.min(lot.coherence_time_s);
         }
+        self.pools.release_if_empty(pair);
         (best, weakest_t2)
     }
 }
@@ -404,7 +347,7 @@ impl LotStore {
 ///
 /// Serialization (manual impls below) covers exactly the legacy count-space
 /// fields; the runtime-only lot store is rebuilt per run, never persisted.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Inventory {
     counts: PairMatrix<u64>,
     /// Number of stored qubit halves per node (each stored pair contributes
@@ -424,24 +367,6 @@ pub struct Inventory {
     /// matrix — the structure that makes |N| ≈ 10³ swap scans tractable.
     /// Runtime state derived from `counts`; never serialized.
     peer_index: Vec<Vec<(NodeId, u64)>>,
-    /// Which pool storage the lot store uses when enabled. Runtime
-    /// configuration; never serialized.
-    backend: InventoryBackend,
-}
-
-impl PartialEq for Inventory {
-    /// Logical equality: the backend tag is a representation choice, not
-    /// state — a flat and a B-tree inventory that hold the same pairs (and
-    /// lots, via the pool store's own logical equality) compare equal.
-    fn eq(&self, other: &Self) -> bool {
-        self.counts == other.counts
-            && self.node_load == other.node_load
-            && self.buffer_limit == other.buffer_limit
-            && self.total_added == other.total_added
-            && self.total_removed == other.total_removed
-            && self.lots == other.lots
-            && self.peer_index == other.peer_index
-    }
 }
 
 impl Serialize for Inventory {
@@ -484,20 +409,13 @@ impl Deserialize for Inventory {
             total_removed: Deserialize::from_value(field("total_removed"))?,
             lots: None,
             peer_index,
-            backend: backend_from_env(),
         })
     }
 }
 
 impl Inventory {
-    /// An empty inventory over `n` nodes with unlimited buffers, on the
-    /// environment-selected backend (flat unless `QNET_INVENTORY=btree`).
+    /// An empty inventory over `n` nodes with unlimited buffers.
     pub fn new(n: usize) -> Self {
-        Self::with_backend(n, backend_from_env())
-    }
-
-    /// An empty inventory on an explicitly chosen pool backend.
-    pub fn with_backend(n: usize, backend: InventoryBackend) -> Self {
         Inventory {
             counts: PairMatrix::new(n),
             node_load: vec![0; n],
@@ -506,13 +424,7 @@ impl Inventory {
             total_removed: 0,
             lots: None,
             peer_index: vec![Vec::new(); n],
-            backend,
         }
-    }
-
-    /// Which pool backend the lot store uses (or would use) when enabled.
-    pub fn backend(&self) -> InventoryBackend {
-        self.backend
     }
 
     /// Attach the age/fidelity lot store for decoherent physics. A no-op for
@@ -526,7 +438,7 @@ impl Inventory {
             0,
             "enable lot tracking on an empty inventory"
         );
-        self.lots = Some(LotStore::new(physics, self.node_count(), self.backend));
+        self.lots = Some(LotStore::new(physics, self.node_count()));
     }
 
     /// Attach per-edge `(pair, birth_fidelity, coherence_time_s)` overrides
@@ -589,20 +501,7 @@ impl Inventory {
     /// the store is absent or empty). Drives cutoff-sweep scheduling. Walks
     /// only the occupied pools.
     pub fn earliest_lot_time(&self) -> Option<SimTime> {
-        let store = self.lots.as_ref()?;
-        match &store.pools {
-            PoolStore::BTree { pools, .. } => pools
-                .values()
-                .flat_map(|pool| pool.front())
-                .map(|lot| lot.created_at)
-                .min(),
-            PoolStore::Flat(flat) => flat
-                .occupied
-                .iter()
-                .flat_map(|&pair| flat.pool(pair).and_then(|pool| pool.front()))
-                .map(|lot| lot.created_at)
-                .min(),
-        }
+        self.lots.as_ref()?.pools.earliest()
     }
 
     /// Discard every lot whose storage age has reached `cutoff` at the
@@ -614,54 +513,7 @@ impl Inventory {
         let Some(store) = &mut self.lots else {
             return Vec::new();
         };
-        let clock = store.clock;
-        let mut expired = Vec::new();
-        // Both backends walk occupied pools in lexicographic NodePair order
-        // — the same order the old dense matrix scan produced.
-        match &mut store.pools {
-            PoolStore::BTree { pools, .. } => {
-                for (&pair, pool) in pools.iter_mut() {
-                    while let Some(front) = pool.front() {
-                        if front.created_at + cutoff <= clock {
-                            pool.pop_front();
-                            expired.push(pair);
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                pools.retain(|_, pool| !pool.is_empty());
-            }
-            PoolStore::Flat(flat) => {
-                for k in 0..flat.occupied.len() {
-                    let pair = flat.occupied[k];
-                    let slot = flat.slot_of[flat.tri(pair)] as usize;
-                    let pool = &mut flat.slab[slot];
-                    while let Some(front) = pool.front() {
-                        if front.created_at + cutoff <= clock {
-                            pool.pop_front();
-                            expired.push(pair);
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                // Recycle the slots of pools the sweep emptied.
-                let mut k = 0;
-                while k < flat.occupied.len() {
-                    let pair = flat.occupied[k];
-                    let t = flat.tri(pair);
-                    let slot = flat.slot_of[t];
-                    if flat.slab[slot as usize].is_empty() {
-                        flat.slot_of[t] = NO_SLOT;
-                        flat.free.push(slot);
-                        flat.occupied.remove(k);
-                    } else {
-                        k += 1;
-                    }
-                }
-            }
-        }
+        let expired = store.pools.purge(cutoff, store.clock);
         for &pair in &expired {
             let count = self.counts.get_mut(pair);
             *count -= 1;
@@ -1298,24 +1150,6 @@ mod tests {
         assert_eq!(inv.min_count_over(&[]), None);
     }
 
-    #[test]
-    fn env_var_selects_backend_per_creation() {
-        // The env var is consulted at construction, like QNET_EVENT_QUEUE.
-        // Racing env-reading tests are harmless here: both backends are
-        // behaviorally identical, which is this module's own invariant.
-        std::env::set_var("QNET_INVENTORY", "btree");
-        assert_eq!(Inventory::new(3).backend(), InventoryBackend::BTree);
-        std::env::set_var("QNET_INVENTORY", "flat");
-        assert_eq!(Inventory::new(3).backend(), InventoryBackend::Flat);
-        std::env::remove_var("QNET_INVENTORY");
-        assert_eq!(Inventory::new(3).backend(), InventoryBackend::Flat);
-        // Explicit construction ignores the environment.
-        assert_eq!(
-            Inventory::with_backend(3, InventoryBackend::BTree).backend(),
-            InventoryBackend::BTree
-        );
-    }
-
     /// Deterministic pseudo-random stream (SplitMix-style) for the
     /// differential test below — no RNG dependency inside the unit tests.
     fn mix(state: &mut u64) -> u64 {
@@ -1326,67 +1160,163 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The differential proof the flat backend rests on: identical mutation
-    /// sequences drive both backends through identical observable states —
-    /// counts, lot order, purge results, and serialized bytes.
+    /// Reference model of the decoherent lot store: an ordered map of
+    /// per-pair FIFO lot queues under oldest-first consumption, with the
+    /// global physics defaults and no link overrides.
+    struct LotModel {
+        t2: f64,
+        clock: SimTime,
+        pools: std::collections::BTreeMap<NodePair, VecDeque<PairLot>>,
+    }
+
+    impl LotModel {
+        fn count(&self, pair: NodePair) -> u64 {
+            self.pools.get(&pair).map_or(0, |pool| pool.len() as u64)
+        }
+
+        fn add(&mut self, pair: NodePair, birth: Option<(f64, f64)>) {
+            let (birth_fidelity, coherence_time_s) =
+                birth.unwrap_or((PhysicsModel::DEFAULT_INITIAL_FIDELITY, self.t2));
+            self.pools.entry(pair).or_default().push_back(PairLot {
+                created_at: self.clock,
+                birth_fidelity,
+                coherence_time_s,
+            });
+        }
+
+        /// Oldest-first removal: the best aged fidelity and the weakest
+        /// memory among the removed lots.
+        fn take(&mut self, pair: NodePair, k: u64) -> Result<Option<(f64, f64)>, InventoryError> {
+            let available = self.count(pair);
+            if available < k {
+                return Err(InventoryError::InsufficientPairs {
+                    requested: k,
+                    available,
+                });
+            }
+            if k == 0 {
+                return Ok(None);
+            }
+            let pool = self.pools.get_mut(&pair).expect("count checked");
+            let (mut best, mut weakest) = (0.25f64, f64::INFINITY);
+            for lot in pool.drain(..k as usize) {
+                let age = self.clock.saturating_since(lot.created_at).as_secs_f64();
+                let aged = DecoherenceModel::with_coherence_time(lot.coherence_time_s)
+                    .fidelity_after(lot.birth_fidelity, age);
+                best = best.max(aged);
+                weakest = weakest.min(lot.coherence_time_s);
+            }
+            if pool.is_empty() {
+                self.pools.remove(&pair);
+            }
+            Ok(Some((best, weakest)))
+        }
+
+        fn swap(&mut self, c: NodeId, a: NodeId, b: NodeId) -> Result<(), InventoryError> {
+            let (left, right) = (NodePair::new(c, a), NodePair::new(c, b));
+            for input in [left, right] {
+                if self.count(input) == 0 {
+                    return Err(InventoryError::InsufficientPairs {
+                        requested: 1,
+                        available: 0,
+                    });
+                }
+            }
+            let (fa, ta) = self.take(left, 1)?.expect("one lot");
+            let (fb, tb) = self.take(right, 1)?.expect("one lot");
+            self.add(
+                NodePair::new(a, b),
+                Some((swap_werner_fidelity(fa, fb), ta.min(tb))),
+            );
+            Ok(())
+        }
+
+        fn purge(&mut self, cutoff: SimDuration) -> Vec<NodePair> {
+            let mut expired = Vec::new();
+            for (&pair, pool) in &mut self.pools {
+                while pool
+                    .front()
+                    .is_some_and(|lot| lot.created_at + cutoff <= self.clock)
+                {
+                    pool.pop_front();
+                    expired.push(pair);
+                }
+            }
+            self.pools.retain(|_, pool| !pool.is_empty());
+            expired
+        }
+    }
+
+    /// The flat lot store against the ordered-map model: identical
+    /// mutation sequences give identical counts, lot order, purge results,
+    /// `nonzero_pairs`, earliest lot time and serialized counts.
     #[test]
-    fn flat_and_btree_backends_stay_identical() {
+    fn flat_store_matches_an_ordered_map_model() {
         for seed in [3_u64, 17, 42] {
             let n = 8;
-            let mut flat = Inventory::with_backend(n, InventoryBackend::Flat);
-            let mut btree = Inventory::with_backend(n, InventoryBackend::BTree);
-            let physics = PhysicsModel::decoherent(6.0);
-            flat.enable_lot_tracking(&physics);
-            btree.enable_lot_tracking(&physics);
+            let t2 = 6.0;
+            let mut inv = decoherent_inventory(n, t2);
+            let mut model = LotModel {
+                t2,
+                clock: SimTime::ZERO,
+                pools: Default::default(),
+            };
             let mut state = seed;
             for step in 0..400 {
                 let now = SimTime::from_secs(step / 10);
-                flat.set_clock(now);
-                btree.set_clock(now);
+                inv.set_clock(now);
+                model.clock = now;
                 let a = (mix(&mut state) % n as u64) as u32;
                 let b = (mix(&mut state) % (n as u64 - 1)) as u32;
                 let b = if b >= a { b + 1 } else { b };
                 let p = pair(a, b);
                 match mix(&mut state) % 10 {
                     0..=4 => {
-                        assert_eq!(flat.add_pair(p), btree.add_pair(p));
+                        inv.add_pair(p).unwrap();
+                        model.add(p, None);
                     }
                     5..=6 => {
                         let k = mix(&mut state) % 3;
-                        assert_eq!(
-                            flat.remove_pairs_with_fidelity(p, k),
-                            btree.remove_pairs_with_fidelity(p, k)
-                        );
+                        let expected = model.take(p, k).map(|t| t.map(|(f, _)| f));
+                        assert_eq!(inv.remove_pairs_with_fidelity(p, k), expected);
                     }
                     7..=8 => {
                         let c = (mix(&mut state) % n as u64) as u32;
                         if c != a && c != b {
-                            assert_eq!(
-                                flat.apply_swap(NodeId(c), NodeId(a), NodeId(b), 1, 1),
-                                btree.apply_swap(NodeId(c), NodeId(a), NodeId(b), 1, 1)
-                            );
+                            let (c, a, b) = (NodeId(c), NodeId(a), NodeId(b));
+                            assert_eq!(inv.apply_swap(c, a, b, 1, 1), model.swap(c, a, b));
                         }
                     }
                     _ => {
-                        assert_eq!(
-                            flat.purge_expired(SimDuration::from_secs(20)),
-                            btree.purge_expired(SimDuration::from_secs(20))
-                        );
+                        let cutoff = SimDuration::from_secs(20);
+                        assert_eq!(inv.purge_expired(cutoff), model.purge(cutoff));
                     }
                 }
                 assert_eq!(
-                    flat.lots_for(p).collect::<Vec<PairLot>>(),
-                    btree.lots_for(p).collect::<Vec<PairLot>>(),
+                    inv.lots_for(p).collect::<Vec<PairLot>>(),
+                    model
+                        .pools
+                        .get(&p)
+                        .map_or(vec![], |q| q.iter().copied().collect()),
                     "seed {seed} step {step}: lot order diverged"
                 );
             }
-            assert_eq!(flat, btree, "seed {seed}: logical state diverged");
-            assert_eq!(flat.nonzero_pairs(), btree.nonzero_pairs());
-            assert_eq!(flat.earliest_lot_time(), btree.earliest_lot_time());
+            let expected: Vec<(NodePair, u64)> = model
+                .pools
+                .iter()
+                .map(|(&p, pool)| (p, pool.len() as u64))
+                .collect();
+            assert_eq!(inv.nonzero_pairs(), expected, "seed {seed}");
+            let earliest = model.pools.values().map(|q| q[0].created_at).min();
+            assert_eq!(inv.earliest_lot_time(), earliest);
+            let mut counts = PairMatrix::new(n);
+            for &(p, c) in &expected {
+                *counts.get_mut(p) = c;
+            }
             assert_eq!(
-                flat.to_value(),
-                btree.to_value(),
-                "seed {seed}: serialization diverged"
+                inv.to_value().get_field("counts"),
+                Some(&counts.to_value()),
+                "seed {seed}: serialized counts diverged"
             );
         }
     }

@@ -16,10 +16,10 @@
 //!   workload, and the swap-overhead metric ([`network`], [`workload`],
 //!   [`experiment`], [`metrics`]),
 //! * the §6 extensions: hybrid oblivious + minimal planning ([`hybrid`]),
-//!   partial-knowledge (gossip) dissemination of buffer counts ([`gossip`]),
 //!   classical-overhead accounting ([`classical`]), and the simulated
-//!   classical control plane — stale per-node knowledge views refreshed by
-//!   latency-delayed gossip ([`control`]).
+//!   classical control plane — partial-knowledge dissemination of buffer
+//!   counts as stale per-node views refreshed by latency-delayed gossip
+//!   ([`control`]).
 //!
 //! ## Quick start
 //!
@@ -55,7 +55,6 @@ pub mod classical;
 pub mod config;
 pub mod control;
 pub mod experiment;
-pub mod gossip;
 pub mod hybrid;
 pub mod inventory;
 pub mod lp_model;
@@ -74,7 +73,7 @@ pub mod workload;
 
 pub use balancer::{BalancerPolicy, SwapCandidate};
 pub use config::{DistillationSpec, NetworkConfig};
-pub use experiment::{Experiment, ExperimentConfig, ExperimentResult, ProtocolMode};
+pub use experiment::{Experiment, ExperimentConfig, ExperimentResult};
 pub use inventory::Inventory;
 pub use lp_model::{LpObjective, SteadyStateModel};
 pub use nested::nested_swap_cost;

@@ -8,12 +8,11 @@
 //! **order** matters: splitting where stock is deepest reuses those pairs
 //! instead of rebuilding both halves from base pairs. This policy chooses
 //! each split point greedily by the current inventory — the first discipline
-//! added through the [`SwapPolicy`] plugin API rather than the old
-//! `ProtocolMode` enum, and the registry's proof of extensibility.
+//! added through the [`SwapPolicy`] plugin API, and the registry's proof of
+//! extensibility.
 
 use super::{PolicyCtx, PolicyId, PolicyParams, RequestAction, SwapPolicy};
 use crate::balancer::CountView;
-use crate::control::ControlPlane;
 use crate::inventory::Inventory;
 use crate::workload::ConsumptionRequest;
 use qnet_topology::{NodeId, NodePair};
@@ -219,7 +218,7 @@ impl SwapPolicy for GreedyOrderPolicy {
             return RequestAction::Drop;
         };
         let k = ctx.pairs_per_distilled();
-        if let Some(ControlPlane::Stale(ctl)) = ctx.control {
+        if let Some(ctl) = ctx.control {
             // The split ordering is decided on the consumer's believed
             // counts; execution stays truth-checked. A believed ordering
             // that fails where the fresh-knowledge ordering would have

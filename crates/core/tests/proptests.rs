@@ -5,13 +5,16 @@
 use proptest::prelude::*;
 use qnet_core::balancer::{BalancerPolicy, CountView};
 use qnet_core::control::{PropagationDelays, StaleControl, PROCESSING_DELAY_S};
-use qnet_core::inventory::{Inventory, InventoryBackend};
+use qnet_core::inventory::{Inventory, InventoryError, PairLot};
 use qnet_core::nested::{nested_swap_cost, nested_swap_cost_with_joins};
 use qnet_core::physics::PhysicsModel;
 use qnet_core::planned::{execute_nested_along_path, planned_path_swap_cost};
 use qnet_core::workload::{PairSelection, WorkloadSpec};
+use qnet_quantum::decoherence::DecoherenceModel;
+use qnet_quantum::swap::swap_werner_fidelity;
 use qnet_sim::{SimDuration, SimTime};
 use qnet_topology::{builders, NodeId, NodePair, PathOracle, Topology};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Build a cycle-topology stale control plane plus the matching delay
 /// table, and drive it through `rounds` synchronized exchange rounds at
@@ -54,6 +57,134 @@ fn pair_from(n: usize, a: usize, b: usize) -> Option<NodePair> {
         None
     } else {
         Some(NodePair::new(NodeId::from(a), NodeId::from(b)))
+    }
+}
+
+/// Reference model of the inventory: an ordered map of per-pair FIFO lot
+/// queues under oldest-first consumption, with the global physics defaults
+/// and cumulative totals. Under ideal physics (`t2 == None`) lots still
+/// order the pools, but nothing expires and no fidelity is reported.
+struct InventoryModel {
+    n: usize,
+    t2: Option<f64>,
+    clock: SimTime,
+    pools: BTreeMap<NodePair, VecDeque<PairLot>>,
+    added: u64,
+    removed: u64,
+}
+
+impl InventoryModel {
+    fn new(n: usize, t2: Option<f64>) -> Self {
+        InventoryModel {
+            n,
+            t2,
+            clock: SimTime::ZERO,
+            pools: BTreeMap::new(),
+            added: 0,
+            removed: 0,
+        }
+    }
+
+    fn count(&self, pair: NodePair) -> u64 {
+        self.pools.get(&pair).map_or(0, |pool| pool.len() as u64)
+    }
+
+    fn add(&mut self, pair: NodePair, birth: Option<(f64, f64)>) {
+        let (birth_fidelity, coherence_time_s) = birth.unwrap_or((
+            PhysicsModel::DEFAULT_INITIAL_FIDELITY,
+            self.t2.unwrap_or(1.0),
+        ));
+        self.pools.entry(pair).or_default().push_back(PairLot {
+            created_at: self.clock,
+            birth_fidelity,
+            coherence_time_s,
+        });
+        self.added += 1;
+    }
+
+    /// The best aged fidelity and the weakest memory among the `k` oldest
+    /// lots, which are removed.
+    fn take(&mut self, pair: NodePair, k: u64) -> Result<Option<(f64, f64)>, InventoryError> {
+        let available = self.count(pair);
+        if available < k {
+            return Err(InventoryError::InsufficientPairs {
+                requested: k,
+                available,
+            });
+        }
+        if k == 0 {
+            return Ok(None);
+        }
+        let pool = self.pools.get_mut(&pair).expect("count checked");
+        let (mut best, mut weakest) = (0.25f64, f64::INFINITY);
+        for lot in pool.drain(..k as usize) {
+            let age = self.clock.saturating_since(lot.created_at).as_secs_f64();
+            let aged = DecoherenceModel::with_coherence_time(lot.coherence_time_s)
+                .fidelity_after(lot.birth_fidelity, age);
+            best = best.max(aged);
+            weakest = weakest.min(lot.coherence_time_s);
+        }
+        if pool.is_empty() {
+            self.pools.remove(&pair);
+        }
+        self.removed += k;
+        Ok(self.t2.map(|_| (best, weakest)))
+    }
+
+    fn swap(&mut self, c: NodeId, a: NodeId, b: NodeId) -> Result<(), InventoryError> {
+        let (left, right) = (NodePair::new(c, a), NodePair::new(c, b));
+        for input in [left, right] {
+            if self.count(input) == 0 {
+                return Err(InventoryError::InsufficientPairs {
+                    requested: 1,
+                    available: 0,
+                });
+            }
+        }
+        let composed = match (self.take(left, 1)?, self.take(right, 1)?) {
+            (Some((fa, ta)), Some((fb, tb))) => Some((swap_werner_fidelity(fa, fb), ta.min(tb))),
+            _ => None,
+        };
+        self.add(NodePair::new(a, b), composed);
+        Ok(())
+    }
+
+    fn purge(&mut self, cutoff: SimDuration) -> Vec<NodePair> {
+        let mut expired = Vec::new();
+        if self.t2.is_none() {
+            return expired;
+        }
+        for (&pair, pool) in &mut self.pools {
+            while pool
+                .front()
+                .is_some_and(|lot| lot.created_at + cutoff <= self.clock)
+            {
+                pool.pop_front();
+                expired.push(pair);
+            }
+        }
+        self.pools.retain(|_, pool| !pool.is_empty());
+        self.removed += expired.len() as u64;
+        expired
+    }
+
+    /// The count-space JSON an inventory holding the model's pairs
+    /// serializes to.
+    fn json(&self) -> String {
+        let mut counts = qnet_topology::PairMatrix::new(self.n);
+        let mut load = vec![0u64; self.n];
+        for (&pair, pool) in &self.pools {
+            *counts.get_mut(pair) = pool.len() as u64;
+            load[pair.lo().index()] += pool.len() as u64;
+            load[pair.hi().index()] += pool.len() as u64;
+        }
+        format!(
+            r#"{{"counts":{},"node_load":{},"buffer_limit":null,"total_added":{},"total_removed":{}}}"#,
+            serde_json::to_string(&counts).expect("counts to_string"),
+            serde_json::to_string(&load).expect("load to_string"),
+            self.added,
+            self.removed
+        )
     }
 }
 
@@ -284,13 +415,12 @@ proptest! {
         prop_assert_eq!(spec.generate(seed), w);
     }
 
-    /// Differential pin of the flat inventory backend against the legacy
-    /// B-tree one: an arbitrary mutation sequence (adds, removes, swaps,
-    /// expiry purges, clock advances) drives both backends through
-    /// byte-identical observable states — counts, per-pool lot order,
-    /// `nonzero_pairs` order, purge results, and serialized JSON.
+    /// Differential pin of the flat inventory against the ordered-map
+    /// model: an arbitrary mutation sequence (adds, removes, swaps, expiry
+    /// purges, clock advances) gives identical results, per-pool lot order,
+    /// `nonzero_pairs` order, earliest lot time and serialized JSON.
     #[test]
-    fn flat_inventory_backend_matches_btree(
+    fn flat_inventory_matches_an_ordered_map_model(
         n in 3usize..9,
         decoherent in any::<bool>(),
         ops in proptest::collection::vec(
@@ -298,69 +428,59 @@ proptest! {
             0..150,
         ),
     ) {
-        let mut flat = Inventory::with_backend(n, InventoryBackend::Flat);
-        let mut btree = Inventory::with_backend(n, InventoryBackend::BTree);
+        let t2 = 8.0;
+        let mut inv = Inventory::new(n);
         if decoherent {
-            let physics = PhysicsModel::decoherent(8.0);
-            flat.enable_lot_tracking(&physics);
-            btree.enable_lot_tracking(&physics);
+            inv.enable_lot_tracking(&PhysicsModel::decoherent(t2));
         }
+        let mut model = InventoryModel::new(n, Some(t2).filter(|_| decoherent));
         let mut clock_s = 0u64;
         for (op, a, b, c, dt) in ops {
             match op {
                 0 | 1 => {
                     if let Some(p) = pair_from(n, a, b) {
-                        prop_assert_eq!(flat.add_pair(p), btree.add_pair(p));
+                        prop_assert_eq!(inv.add_pair(p), Ok(()));
+                        model.add(p, None);
                     }
                 }
                 2 => {
                     if let Some(p) = pair_from(n, a, b) {
-                        prop_assert_eq!(
-                            flat.remove_pairs_with_fidelity(p, dt.min(2)),
-                            btree.remove_pairs_with_fidelity(p, dt.min(2))
-                        );
+                        let expected = model.take(p, dt.min(2)).map(|t| t.map(|(f, _)| f));
+                        prop_assert_eq!(inv.remove_pairs_with_fidelity(p, dt.min(2)), expected);
                     }
                 }
                 3 => {
                     let (r, l, x) = (a % n, b % n, c % n);
                     if r != l && r != x && l != x {
                         let (r, l, x) = (NodeId::from(r), NodeId::from(l), NodeId::from(x));
-                        prop_assert_eq!(
-                            flat.apply_swap(r, l, x, 1, 1),
-                            btree.apply_swap(r, l, x, 1, 1)
-                        );
+                        prop_assert_eq!(inv.apply_swap(r, l, x, 1, 1), model.swap(r, l, x));
                     }
                 }
                 _ => {
                     clock_s += dt;
-                    flat.set_clock(SimTime::from_secs(clock_s));
-                    btree.set_clock(SimTime::from_secs(clock_s));
-                    prop_assert_eq!(
-                        flat.purge_expired(SimDuration::from_secs(10)),
-                        btree.purge_expired(SimDuration::from_secs(10))
-                    );
+                    inv.set_clock(SimTime::from_secs(clock_s));
+                    model.clock = SimTime::from_secs(clock_s);
+                    let cutoff = SimDuration::from_secs(10);
+                    prop_assert_eq!(inv.purge_expired(cutoff), model.purge(cutoff));
                 }
             }
         }
-        prop_assert_eq!(&flat, &btree);
-        prop_assert_eq!(flat.nonzero_pairs(), btree.nonzero_pairs());
-        prop_assert_eq!(flat.earliest_lot_time(), btree.earliest_lot_time());
-        for a in 0..n {
-            for b in a + 1..n {
-                let p = NodePair::new(NodeId::from(a), NodeId::from(b));
+        let expected: Vec<(NodePair, u64)> =
+            model.pools.iter().map(|(&p, q)| (p, q.len() as u64)).collect();
+        prop_assert_eq!(inv.nonzero_pairs(), expected);
+        let earliest = model.pools.values().map(|q| q[0].created_at).min();
+        prop_assert_eq!(inv.earliest_lot_time(), earliest.filter(|_| decoherent));
+        if decoherent {
+            for (&p, pool) in &model.pools {
                 prop_assert_eq!(
-                    flat.lots_for(p).collect::<Vec<_>>(),
-                    btree.lots_for(p).collect::<Vec<_>>(),
+                    inv.lots_for(p).collect::<Vec<_>>(),
+                    pool.iter().copied().collect::<Vec<_>>(),
                     "lot order diverged for {}",
                     p
                 );
             }
         }
-        let bytes = |inv: &Inventory| {
-            serde_json::to_string(&serde_json::to_value(inv).expect("inventory to_value"))
-                .expect("inventory to_string")
-        };
-        prop_assert_eq!(bytes(&flat), bytes(&btree));
+        prop_assert_eq!(serde_json::to_string(&inv).expect("inventory to_string"), model.json());
     }
 
     /// Stale-knowledge freshness bound: once every node has completed one

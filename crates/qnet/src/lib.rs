@@ -265,11 +265,10 @@
 //! requests with **flat memory** — peak RSS is set by the topology, not
 //! the request count:
 //!
-//! * **Timing-wheel event queue** — [`sim::EventQueue`] orders events on a
-//!   hierarchical timing wheel (O(1) amortised schedule/pop) instead of a
-//!   `BinaryHeap`, preserving the deterministic `(time, seq)` FIFO
-//!   tie-break exactly; `QNET_EVENT_QUEUE=heap` selects the legacy heap,
-//!   and both backends produce byte-identical reports.
+//! * **Small event queue** — [`sim::EventQueue`] is a binary heap over the
+//!   deterministic `(time, seq)` key; with arrivals streamed lazily (next
+//!   bullet) it holds only the pending process events and one batch of
+//!   future arrivals, so it never grows with the request count.
 //! * **Lazy arrival streams** — open-loop Poisson arrivals are drawn from a
 //!   [`core::workload::ArrivalStream`] in batches of
 //!   [`core::network::ARRIVAL_BATCH`] by a self-rescheduling generator
@@ -329,18 +328,17 @@
 //! actually costs. The steady-state loop is built from four flat, densely
 //! indexed structures that it walks over and over without allocating:
 //!
-//! * **Timing wheel** — events come off the [`sim::EventQueue`] wheel in
-//!   O(1) amortised (`QNET_EVENT_QUEUE=heap` pins the legacy `BinaryHeap`);
+//! * **Event queue** — events come off the [`sim::EventQueue`] binary heap
+//!   in `(time, seq)` order, with no up-front allocation per run;
 //! * **Edge index** — [`topology::EdgeIndex`] numbers the generation
 //!   graph's edges `0..E` with a CSR adjacency layout, so per-edge state
 //!   (generation rates, link overrides) lives in plain vectors indexed by
 //!   edge id instead of maps keyed by [`topology::NodePair`];
 //! * **Flat inventory** — [`core::inventory::Inventory`] stores per-pair
-//!   counts and lots in dense edge-slot pools with an O(1) triangular
-//!   pair→slot map (`QNET_INVENTORY=btree` pins the legacy `BTreeMap`
-//!   store; both backends produce byte-identical reports, and the
-//!   balancer's scan loop is monomorphized over the concrete store so the
-//!   O(rich²) beneficiary probe pays no virtual dispatch);
+//!   lots in slab pools behind an O(1) triangular pair→slot map and keeps
+//!   sorted per-node `(peer, count)` lists, and the balancer's scan loop is
+//!   monomorphized over the concrete store so the O(rich²) beneficiary
+//!   probe pays no virtual dispatch;
 //! * **Path oracle** — [`topology::PathOracle`] serves shortest-path
 //!   queries from per-source BFS rows (all-pairs eager up to 128 nodes,
 //!   lazily memoized per source above), replacing the per-pair memoized
@@ -348,7 +346,7 @@
 //!   reconstruction per query.
 //!
 //! ```
-//! use qnet::core::inventory::{Inventory, InventoryBackend};
+//! use qnet::core::inventory::Inventory;
 //! use qnet::topology::{bfs_path, builders, EdgeIndex, NodeId, NodePair, PathOracle};
 //!
 //! // Dense edge index over an internet-like graph: O(1) pair ↔ edge-id.
@@ -364,14 +362,13 @@
 //! let via_bfs = bfs_path(&graph, NodeId(3), NodeId(90)).unwrap();
 //! assert_eq!(via_oracle.nodes, via_bfs.nodes);
 //!
-//! // The two inventory backends are logically interchangeable state.
-//! let mut flat = Inventory::with_backend(6, InventoryBackend::Flat);
-//! let mut btree = Inventory::with_backend(6, InventoryBackend::BTree);
-//! for inv in [&mut flat, &mut btree] {
-//!     inv.add_pair(NodePair::new(NodeId(0), NodeId(1))).unwrap();
-//!     inv.add_pair(NodePair::new(NodeId(1), NodeId(4))).unwrap();
-//! }
-//! assert_eq!(flat, btree);
+//! // The inventory serves each node's entanglement peers, with counts
+//! // inline, in ascending id order — the balancer scan's inner loop.
+//! let mut inv = Inventory::new(6);
+//! inv.add_pair(NodePair::new(NodeId(0), NodeId(1))).unwrap();
+//! inv.add_pair(NodePair::new(NodeId(1), NodeId(4))).unwrap();
+//! inv.add_pair(NodePair::new(NodeId(1), NodeId(4))).unwrap();
+//! assert_eq!(inv.peer_counts(NodeId(1)), &[(NodeId(0), 1), (NodeId(4), 2)]);
 //! ```
 //!
 //! The `path_oracle` and `inventory_hot_scan` benchmark groups in
@@ -542,12 +539,9 @@
 //!   campaign-grade sweep).
 //!
 //! [`core::classical::KnowledgeModel::Global`] never builds a control
-//! plane and stays byte-identical to pre-subsystem reports. Gossip
-//! knowledge runs the latency-aware stale plane by default;
-//! `QNET_KNOWLEDGE=truth` reverts to the legacy synchronous backend
-//! (instant refresh against truth — message counts survive, staleness
-//! disappears), mirroring the `QNET_EVENT_QUEUE` / `QNET_INVENTORY`
-//! backend escapes. On the CLI the knowledge axis is
+//! plane and stays byte-identical to pre-subsystem reports; gossip
+//! knowledge always runs the latency-aware stale plane. On the CLI the
+//! knowledge axis is
 //! `campaign --knowledge global,gossip:K,gossip:K:PERIOD`, and gossip
 //! cells grow `stale_row_age_mean_s` / `stale_row_age_p95_s` /
 //! `missed_swaps_total` report columns (global cells keep the legacy
@@ -687,7 +681,7 @@ pub mod prelude {
     pub use qnet_core::balancer::{BalancerPolicy, SwapCandidate};
     pub use qnet_core::classical::KnowledgeModel;
     pub use qnet_core::config::{DistillationSpec, NetworkConfig};
-    pub use qnet_core::experiment::{Experiment, ExperimentConfig, ExperimentResult, ProtocolMode};
+    pub use qnet_core::experiment::{Experiment, ExperimentConfig, ExperimentResult};
     pub use qnet_core::inventory::Inventory;
     pub use qnet_core::lp_model::{LpObjective, SteadyStateModel};
     pub use qnet_core::nested::nested_swap_cost;

@@ -7,13 +7,10 @@
 //! scheduled for the same instant are always delivered in the order they
 //! were scheduled.
 //!
-//! Two backends implement that contract with identical observable behavior
-//! (see [`QueueBackend`]): a hierarchical **timing wheel** (the default —
-//! near-O(1) schedule/pop for the dense short-horizon event churn the
-//! network simulation generates) and the classic **binary heap** (O(log n),
-//! kept as a fallback and as the differential-testing oracle). Because both
-//! order by the full `(time, seq)` key, the pop sequence — and therefore
-//! every simulation byte — is the same whichever backend runs.
+//! The queue is a binary heap over the full `(time, seq)` key: O(log n)
+//! schedule and pop, no up-front allocation, and the fastest of the
+//! structures measured on the paper-sized runs the simulator spends most of
+//! its time in.
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Ordering;
@@ -54,152 +51,10 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// Which data structure backs an [`EventQueue`].
-///
-/// Selected per queue at construction: explicitly via
-/// [`EventQueue::with_backend`], or for [`EventQueue::new`] from the
-/// `QNET_EVENT_QUEUE` environment variable (`wheel` / `heap`; unset or
-/// unrecognized means the default wheel). Both backends deliver the exact
-/// same `(time, seq)` pop order, so switching backends never changes
-/// simulation output — only its speed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum QueueBackend {
-    /// Hierarchical timing wheel / calendar queue (default).
-    #[default]
-    TimingWheel,
-    /// Plain binary heap over `(time, seq)` — the historical
-    /// implementation, kept as a runtime fallback and differential oracle.
-    BinaryHeap,
-}
-
-/// Log₂ of the wheel bucket width in nanoseconds: 2²⁰ ns ≈ 1.05 ms, on the
-/// order of the entanglement-generation and swap-scan intervals that
-/// dominate the hot path.
-const WHEEL_TICK_SHIFT: u32 = 20;
-/// Number of wheel buckets (power of two): span ≈ 4096 × 1.05 ms ≈ 4.3 s.
-/// Events beyond the span overflow into an auxiliary heap and migrate into
-/// the wheel as it rotates forward.
-const WHEEL_BUCKETS: usize = 4096;
-
-/// The wheel tick an absolute time falls into.
-fn wheel_tick(t: SimTime) -> u64 {
-    t.as_nanos() >> WHEEL_TICK_SHIFT
-}
-
-/// Timing-wheel state. Invariant (restored by `settle` after every
-/// mutation): whenever the wheel holds any event, `active` is non-empty and
-/// contains every event with tick < `active_tick` — including the global
-/// minimum — so `peek`/`pop` are straight heap operations on `active`.
-///
-/// * `active` — min-heap of imminent events (tick < `active_tick`).
-/// * `buckets[τ % WHEEL_BUCKETS]` — unsorted events at tick τ for
-///   τ ∈ [`active_tick`, `active_tick + WHEEL_BUCKETS`).
-/// * `overflow` — min-heap of events at or beyond the wheel span.
-#[derive(Debug, Clone)]
-struct TimingWheel<E> {
-    active: BinaryHeap<ScheduledEvent<E>>,
-    buckets: Vec<Vec<ScheduledEvent<E>>>,
-    /// Total events across all `buckets`.
-    bucket_len: usize,
-    overflow: BinaryHeap<ScheduledEvent<E>>,
-    /// First tick not yet migrated into `active`.
-    active_tick: u64,
-}
-
-impl<E> TimingWheel<E> {
-    fn new() -> Self {
-        TimingWheel {
-            active: BinaryHeap::new(),
-            buckets: std::iter::repeat_with(Vec::new)
-                .take(WHEEL_BUCKETS)
-                .collect(),
-            bucket_len: 0,
-            overflow: BinaryHeap::new(),
-            active_tick: 0,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.active.len() + self.bucket_len + self.overflow.len()
-    }
-
-    fn push(&mut self, ev: ScheduledEvent<E>) {
-        let tick = wheel_tick(ev.time);
-        if tick < self.active_tick {
-            // Imminent (or in the past relative to the wheel cursor):
-            // straight into the sorted heap the pops come from.
-            self.active.push(ev);
-        } else if tick - self.active_tick < WHEEL_BUCKETS as u64 {
-            self.buckets[(tick % WHEEL_BUCKETS as u64) as usize].push(ev);
-            self.bucket_len += 1;
-        } else {
-            self.overflow.push(ev);
-        }
-        self.settle();
-    }
-
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        let ev = self.active.pop();
-        self.settle();
-        ev
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        self.active.peek().map(|s| s.time)
-    }
-
-    /// Rotate the wheel forward until `active` again holds the global
-    /// minimum (or the wheel is empty). Each step migrates one tick's
-    /// bucket, merged with any overflow events on that exact tick, into a
-    /// freshly heapified `active`; when every bucket is empty the cursor
-    /// jumps straight to the earliest overflow tick instead of sweeping
-    /// empty buckets.
-    fn settle(&mut self) {
-        while self.active.is_empty() && (self.bucket_len > 0 || !self.overflow.is_empty()) {
-            if self.bucket_len == 0 {
-                // Only overflow events remain: jump to the earliest.
-                let t = self.overflow.peek().expect("overflow non-empty").time;
-                self.active_tick = wheel_tick(t);
-            }
-            let slot = (self.active_tick % WHEEL_BUCKETS as u64) as usize;
-            let mut batch = std::mem::take(&mut self.buckets[slot]);
-            self.bucket_len -= batch.len();
-            while self
-                .overflow
-                .peek()
-                .is_some_and(|ev| wheel_tick(ev.time) == self.active_tick)
-            {
-                batch.push(self.overflow.pop().expect("peeked"));
-            }
-            self.active_tick += 1;
-            if !batch.is_empty() {
-                // O(batch) heapify — cheaper than per-event pushes.
-                self.active = BinaryHeap::from(batch);
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        self.active.clear();
-        for bucket in &mut self.buckets {
-            bucket.clear();
-        }
-        self.bucket_len = 0;
-        self.overflow.clear();
-    }
-}
-
-/// The two interchangeable queue implementations.
-#[derive(Debug, Clone)]
-enum Backend<E> {
-    Heap(BinaryHeap<ScheduledEvent<E>>),
-    Wheel(TimingWheel<E>),
-}
-
 /// A deterministic future-event list.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<ScheduledEvent<E>>,
     next_seq: u64,
     scheduled_total: u64,
 }
@@ -210,43 +65,13 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
-/// Backend requested by the `QNET_EVENT_QUEUE` environment variable
-/// (consulted per queue creation so tests can toggle it): `heap` /
-/// `binary-heap` / `binary_heap` select the heap, anything else (including
-/// unset) the timing wheel.
-fn backend_from_env() -> QueueBackend {
-    match std::env::var("QNET_EVENT_QUEUE") {
-        Ok(v) if matches!(v.as_str(), "heap" | "binary-heap" | "binary_heap") => {
-            QueueBackend::BinaryHeap
-        }
-        _ => QueueBackend::TimingWheel,
-    }
-}
-
 impl<E> EventQueue<E> {
-    /// Create an empty queue with the environment-selected backend (the
-    /// timing wheel unless `QNET_EVENT_QUEUE=heap`).
+    /// Create an empty queue.
     pub fn new() -> Self {
-        Self::with_backend(backend_from_env())
-    }
-
-    /// Create an empty queue on an explicitly chosen backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         EventQueue {
-            backend: match backend {
-                QueueBackend::TimingWheel => Backend::Wheel(TimingWheel::new()),
-                QueueBackend::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-            },
+            heap: BinaryHeap::new(),
             next_seq: 0,
             scheduled_total: 0,
-        }
-    }
-
-    /// Which backend this queue runs on.
-    pub fn backend(&self) -> QueueBackend {
-        match &self.backend {
-            Backend::Heap(_) => QueueBackend::BinaryHeap,
-            Backend::Wheel(_) => QueueBackend::TimingWheel,
         }
     }
 
@@ -255,15 +80,11 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled_total += 1;
-        let scheduled = ScheduledEvent {
+        self.heap.push(ScheduledEvent {
             time: at,
             seq,
             event,
-        };
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(scheduled),
-            Backend::Wheel(wheel) => wheel.push(scheduled),
-        }
+        });
     }
 
     /// Schedule `event` for delivery `after` the given `now`.
@@ -273,31 +94,22 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the next event in `(time, seq)` order.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.pop(),
-            Backend::Wheel(wheel) => wheel.pop(),
-        }
+        self.heap.pop()
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(heap) => heap.peek().map(|s| s.time),
-            Backend::Wheel(wheel) => wheel.peek_time(),
-        }
+        self.heap.peek().map(|s| s.time)
     }
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len(),
-        }
+        self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled on this queue.
@@ -308,24 +120,13 @@ impl<E> EventQueue<E> {
     /// Drop all pending events (the sequence counter keeps advancing so that
     /// determinism is preserved if the queue is reused).
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.clear(),
-            Backend::Wheel(wheel) => wheel.clear(),
-        }
+        self.heap.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Run the same scenario on both backends.
-    fn on_both_backends(scenario: impl Fn(&mut EventQueue<u64>)) {
-        for backend in [QueueBackend::TimingWheel, QueueBackend::BinaryHeap] {
-            let mut q = EventQueue::with_backend(backend);
-            scenario(&mut q);
-        }
-    }
 
     #[test]
     fn pops_in_time_order() {
@@ -339,13 +140,12 @@ mod tests {
 
     #[test]
     fn ties_broken_by_insertion_order() {
-        on_both_backends(|q| {
-            for i in 0..100u64 {
-                q.schedule_at(SimTime::from_secs(7), i);
-            }
-            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>());
-        });
+        let mut q = EventQueue::new();
+        for i in 0..100u64 {
+            q.schedule_at(SimTime::from_secs(7), i);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -357,140 +157,47 @@ mod tests {
 
     #[test]
     fn counters_and_clear() {
-        on_both_backends(|q| {
-            assert!(q.is_empty());
-            q.schedule_at(SimTime::ZERO, 1);
-            q.schedule_at(SimTime::ZERO, 2);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.scheduled_total(), 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.scheduled_total(), 2);
-        });
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        q.schedule_at(SimTime::ZERO, 1);
+        q.schedule_at(SimTime::ZERO, 2);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.scheduled_total(), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.scheduled_total(), 2);
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stays_ordered() {
-        on_both_backends(|q| {
-            q.schedule_at(SimTime::from_secs(10), 10);
-            q.schedule_at(SimTime::from_secs(1), 1);
-            assert_eq!(q.pop().unwrap().event, 1);
-            q.schedule_at(SimTime::from_secs(5), 5);
-            q.schedule_at(SimTime::from_secs(2), 2);
-            assert_eq!(q.pop().unwrap().event, 2);
-            assert_eq!(q.pop().unwrap().event, 5);
-            assert_eq!(q.pop().unwrap().event, 10);
-            assert!(q.pop().is_none());
-        });
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime::from_secs(10), 10);
+        q.schedule_at(SimTime::from_secs(1), 1);
+        assert_eq!(q.pop().unwrap().event, 1);
+        q.schedule_at(SimTime::from_secs(5), 5);
+        q.schedule_at(SimTime::from_secs(2), 2);
+        assert_eq!(q.pop().unwrap().event, 2);
+        assert_eq!(q.pop().unwrap().event, 5);
+        assert_eq!(q.pop().unwrap().event, 10);
+        assert!(q.pop().is_none());
     }
 
     #[test]
-    fn env_var_selects_backend_per_creation() {
-        // Serialize with other env-reading tests via the lock below.
-        std::env::set_var("QNET_EVENT_QUEUE", "heap");
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::BinaryHeap);
-        std::env::set_var("QNET_EVENT_QUEUE", "wheel");
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::TimingWheel);
-        std::env::remove_var("QNET_EVENT_QUEUE");
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend(), QueueBackend::TimingWheel);
-    }
-
-    /// Deterministic pseudo-random stream (SplitMix-style) for the
-    /// differential tests — no RNG dependency inside the unit tests.
-    fn mix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// The differential proof the backend swap rests on: identical
-    /// schedule/pop interleavings produce identical `(time, seq, event)`
-    /// streams on both backends, across time scales that exercise the
-    /// wheel's active heap, its buckets, its overflow heap, and the
-    /// overflow→bucket migration as the wheel rotates.
-    #[test]
-    fn wheel_and_heap_pop_identical_streams() {
-        for (scale, seed) in [(1_u64, 1), (1 << 18, 2), (1 << 22, 3), (1 << 30, 4)] {
-            let mut wheel = EventQueue::with_backend(QueueBackend::TimingWheel);
-            let mut heap = EventQueue::with_backend(QueueBackend::BinaryHeap);
-            let mut state = seed;
-            let mut now = 0u64;
-            for round in 0..2_000u64 {
-                let r = mix(&mut state);
-                // Mixed workload: mostly schedules near `now`, some far
-                // ahead, occasional bursts of exact ties, interleaved pops.
-                match r % 10 {
-                    0..=5 => {
-                        let at = now + (r >> 32) % (64 * scale);
-                        wheel.schedule_at(SimTime::from_nanos(at), round);
-                        heap.schedule_at(SimTime::from_nanos(at), round);
-                    }
-                    6 => {
-                        let at = now + (r >> 32) % (1 << 34); // far future
-                        wheel.schedule_at(SimTime::from_nanos(at), round);
-                        heap.schedule_at(SimTime::from_nanos(at), round);
-                    }
-                    7 => {
-                        let at = now + scale;
-                        for k in 0..4 {
-                            wheel.schedule_at(SimTime::from_nanos(at), round * 10 + k);
-                            heap.schedule_at(SimTime::from_nanos(at), round * 10 + k);
-                        }
-                    }
-                    _ => {
-                        let (a, b) = (wheel.pop(), heap.pop());
-                        match (&a, &b) {
-                            (Some(x), Some(y)) => {
-                                assert_eq!(
-                                    (x.time, x.seq, x.event),
-                                    (y.time, y.seq, y.event),
-                                    "diverged at round {round} scale {scale}"
-                                );
-                                now = now.max(x.time.as_nanos());
-                            }
-                            (None, None) => {}
-                            _ => panic!("one backend empty, the other not"),
-                        }
-                    }
-                }
-                assert_eq!(wheel.len(), heap.len());
-                assert_eq!(wheel.peek_time(), heap.peek_time());
-            }
-            // Drain: remaining streams must match to the last event.
-            loop {
-                match (wheel.pop(), heap.pop()) {
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.time, x.seq), (y.time, y.seq));
-                    }
-                    (None, None) => break,
-                    _ => panic!("backends disagree on emptiness"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wheel_survives_far_future_and_reuse_after_clear() {
-        let mut q = EventQueue::with_backend(QueueBackend::TimingWheel);
-        // Far beyond the wheel span: overflow path.
+    fn reuse_after_clear_keeps_seq_and_order() {
+        let mut q = EventQueue::new();
         q.schedule_at(SimTime::from_secs(1_000_000), 1);
         q.schedule_at(SimTime::from_nanos(5), 0);
         assert_eq!(q.pop().unwrap().event, 0);
         assert_eq!(q.pop().unwrap().event, 1);
-        // Reuse after clear, scheduling "in the past" relative to the
-        // wheel cursor: still delivered, in order.
         q.schedule_at(SimTime::from_secs(2_000_000), 9);
         q.clear();
         assert!(q.is_empty());
+        // Earlier than anything delivered before the clear: still ordered,
+        // and the sequence counter carried on across the clear.
         q.schedule_at(SimTime::from_secs(3), 3);
         q.schedule_at(SimTime::from_secs(1), 2);
-        assert_eq!(q.pop().unwrap().event, 2);
-        assert_eq!(q.pop().unwrap().event, 3);
-        assert!(q.pop().is_none());
+        q.schedule_at(SimTime::from_secs(1), 4);
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|s| (s.seq, s.event))).collect();
+        assert_eq!(popped, vec![(4, 2), (5, 4), (3, 3)]);
     }
 }

@@ -18,8 +18,7 @@
 //!   seed produce bit-identical event orderings; ties in event time are broken
 //!   by insertion sequence number.
 //! * **Observability** — lightweight statistics collectors
-//!   ([`stats::Counter`], [`stats::TimeWeighted`], [`stats::Histogram`]) and a
-//!   pluggable [`trace::Tracer`].
+//!   ([`stats::Counter`], [`stats::TimeWeighted`], [`stats::Histogram`]).
 //!
 //! ## Quick example
 //!
@@ -57,7 +56,6 @@ pub mod process;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, RunResult, StopCondition, World};
 pub use event::{EventQueue, ScheduledEvent};
