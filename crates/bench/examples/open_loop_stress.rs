@@ -1,14 +1,19 @@
 //! Open-loop stress driver: run one lazily-streamed Poisson workload at a
 //! chosen scale and print a one-line machine-readable summary. The CI
-//! memory-smoke job wraps this in `/usr/bin/time -v` to assert that peak
+//! memory-smoke jobs wrap this in `/usr/bin/time -v`: one asserts that peak
 //! RSS stays flat from 10⁵ to 10⁶ requests (the arrival stream and the
 //! streaming metrics recorder are both fixed-memory, so RSS is dominated
-//! by the topology, not the request count).
+//! by the topology, not the request count), the other bounds the stale
+//! gossip control plane's memory on a 600-node fabric.
 //!
 //! ```text
 //! cargo run --release -p qnet-bench --example open_loop_stress -- \
-//!     --topology cycle:25 --requests 100000 [--seed 7] [--rate-hz 2000]
+//!     --topology cycle:25 --requests 100000 [--seed 7] [--rate-hz 2000] \
+//!     [--knowledge global|gossip:K[:PERIOD]]
 //! ```
+//!
+//! `scale-free:<n>` runs on the `metro-fiber` fabric and `cycle:<n>` on
+//! the homogeneous substrate. `--knowledge` defaults to `global`.
 
 use qnet_core::classical::KnowledgeModel;
 use qnet_core::experiment::{Experiment, ExperimentConfig};
@@ -17,37 +22,54 @@ use qnet_core::workload::WorkloadSpec;
 use qnet_core::NetworkConfig;
 use qnet_topology::{FabricSpec, HardwarePreset, Topology};
 
-fn parse_args() -> (String, u64, u64, f64, Option<f64>, Option<f64>) {
-    let mut topology = "cycle:25".to_string();
-    let mut requests = 100_000u64;
-    let mut seed = 7u64;
-    let mut rate_hz = 1_000.0f64;
-    let mut gen_rate = None;
-    let mut scan_rate = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
+struct Args {
+    topology: String,
+    requests: u64,
+    seed: u64,
+    rate_hz: f64,
+    gen_rate: Option<f64>,
+    scan_rate: Option<f64>,
+    knowledge: KnowledgeModel,
+}
+
+fn parse_args() -> Args {
+    let mut args = Args {
+        topology: "cycle:25".to_string(),
+        requests: 100_000,
+        seed: 7,
+        rate_hz: 1_000.0,
+        gen_rate: None,
+        scan_rate: None,
+        knowledge: KnowledgeModel::Global,
+    };
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
         let mut value = || {
-            args.next()
+            argv.next()
                 .unwrap_or_else(|| panic!("missing value for {flag}"))
         };
         match flag.as_str() {
-            "--topology" => topology = value(),
-            "--requests" => requests = value().parse().expect("--requests: integer"),
-            "--seed" => seed = value().parse().expect("--seed: integer"),
-            "--rate-hz" => rate_hz = value().parse().expect("--rate-hz: float"),
-            "--gen-rate" => gen_rate = Some(value().parse().expect("--gen-rate: float")),
-            "--scan-rate" => scan_rate = Some(value().parse().expect("--scan-rate: float")),
+            "--topology" => args.topology = value(),
+            "--requests" => args.requests = value().parse().expect("--requests: integer"),
+            "--seed" => args.seed = value().parse().expect("--seed: integer"),
+            "--rate-hz" => args.rate_hz = value().parse().expect("--rate-hz: float"),
+            "--gen-rate" => args.gen_rate = Some(value().parse().expect("--gen-rate: float")),
+            "--scan-rate" => args.scan_rate = Some(value().parse().expect("--scan-rate: float")),
+            "--knowledge" => {
+                args.knowledge =
+                    KnowledgeModel::parse(&value()).unwrap_or_else(|e| panic!("--knowledge: {e}"))
+            }
             other => panic!("unknown flag {other}"),
         }
     }
-    (topology, requests, seed, rate_hz, gen_rate, scan_rate)
+    args
 }
 
 fn main() {
-    let (topology, requests, seed, rate_hz, gen_rate, scan_rate) = parse_args();
+    let args = parse_args();
     // The horizon realises ~`requests` Poisson arrivals at `rate_hz`.
-    let horizon_s = requests as f64 / rate_hz;
-    let (mut network, nodes) = match topology.as_str() {
+    let horizon_s = args.requests as f64 / args.rate_hz;
+    let (mut network, nodes) = match args.topology.as_str() {
         spec if spec.starts_with("cycle:") => {
             let nodes: usize = spec["cycle:".len()..].parse().expect("cycle:<nodes>");
             (NetworkConfig::new(Topology::Cycle { nodes }), nodes)
@@ -64,10 +86,10 @@ fn main() {
         }
         other => panic!("unknown topology {other} (use cycle:<n> or scale-free:<n>)"),
     };
-    if let Some(rate) = gen_rate {
+    if let Some(rate) = args.gen_rate {
         network = network.with_generation_rate(rate);
     }
-    if let Some(rate) = scan_rate {
+    if let Some(rate) = args.scan_rate {
         network = network.with_swap_scan_rate(rate);
     }
     let config = ExperimentConfig {
@@ -75,20 +97,22 @@ fn main() {
         workload: WorkloadSpec::open_loop(
             nodes,
             35.min(nodes * (nodes - 1) / 2),
-            rate_hz,
+            args.rate_hz,
             horizon_s,
         ),
         mode: PolicyId::OBLIVIOUS,
-        knowledge: KnowledgeModel::Global,
-        seed,
+        knowledge: args.knowledge,
+        seed: args.seed,
         max_sim_time_s: horizon_s * 2.0,
     };
     let start = std::time::Instant::now();
     let result = Experiment::new(config).run();
     let elapsed = start.elapsed().as_secs_f64();
     println!(
-        "topology={topology} requests={requests} arrived={} satisfied={} \
+        "topology={} requests={} arrived={} satisfied={} \
          streamed={} swaps={} wall_s={elapsed:.3}",
+        args.topology,
+        args.requests,
         result.metrics.arrived_requests,
         result.satisfied_requests,
         result.metrics.is_streamed(),

@@ -18,6 +18,12 @@
 //! <cache-dir>/outcomes-<fingerprint-hex>.jsonl
 //! ```
 //!
+//! While a run is live, outcomes are appended in completion order, which
+//! varies with thread scheduling. A run that closes cleanly calls
+//! [`OutcomeCache::compact`], which rewrites the file in scenario-id order
+//! (write-temp-then-rename), so the bytes of a closed cache depend only on
+//! the grid and the set of cached scenarios.
+//!
 //! Each line is a self-describing record:
 //!
 //! ```json
@@ -41,7 +47,7 @@
 use crate::grid::{GridFingerprint, ScenarioGrid};
 use crate::runner::ScenarioOutcome;
 use serde::{Deserialize, Serialize};
-use std::fs::{self, OpenOptions};
+use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
@@ -220,6 +226,39 @@ impl OutcomeCache {
         }
         Ok(())
     }
+
+    /// Rewrite the cache file from the in-memory index: one line per
+    /// cached scenario in id order (superseded and rejected lines drop
+    /// out). The new file is written beside the old one and renamed over
+    /// it, so an interrupted compaction leaves the old file intact. Call
+    /// it only when no other process appends to this file.
+    pub fn compact(&self) -> io::Result<()> {
+        let mut buf = String::new();
+        for outcome in self.entries.iter().flatten() {
+            buf.push_str(&encode_outcome_line(self.fingerprint, outcome));
+            buf.push('\n');
+        }
+        let tmp = self.path.with_extension("jsonl.compact");
+        // The cache is the crash-recovery ledger: flush the new bytes
+        // before the rename and the rename itself after it, so a power
+        // loss cannot leave an empty or truncated file where a complete
+        // one was.
+        let mut file = File::create(&tmp)?;
+        file.write_all(buf.as_bytes())?;
+        file.sync_all()?;
+        fs::rename(&tmp, &self.path)?;
+        if let Some(dir) = self.path.parent() {
+            let dir = if dir.as_os_str().is_empty() {
+                Path::new(".")
+            } else {
+                dir
+            };
+            if let Ok(dir) = File::open(dir) {
+                dir.sync_all()?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -362,6 +401,36 @@ mod tests {
         cache.append(&[second.clone()]).unwrap();
         let reopened = OutcomeCache::open(&dir, &grid).unwrap();
         assert_eq!(reopened.get(0), Some(&second));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_orders_lines_by_id_and_keeps_the_latest() {
+        let dir = temp_dir("compact");
+        let grid = test_grid();
+        let mut cache = OutcomeCache::open(&dir, &grid).unwrap();
+        let mut superseded = outcome(1, 2);
+        superseded.swaps_performed = 99;
+        cache
+            .append(&[outcome(3, 2), superseded, outcome(0, 2)])
+            .unwrap();
+        cache.append(&[outcome(1, 2)]).unwrap();
+        let path = cache.path().to_path_buf();
+        let mut text = fs::read_to_string(&path).unwrap();
+        text.push_str("not json at all\n");
+        fs::write(&path, text).unwrap();
+
+        let reopened = OutcomeCache::open(&dir, &grid).unwrap();
+        reopened.compact().unwrap();
+        let expected: String = [0, 1, 3]
+            .iter()
+            .map(|&id| encode_outcome_line(grid.fingerprint(), &outcome(id, 2)) + "\n")
+            .collect();
+        assert_eq!(fs::read_to_string(&path).unwrap(), expected);
+        let compacted = OutcomeCache::open(&dir, &grid).unwrap();
+        assert_eq!(compacted.len(), 3);
+        assert_eq!(compacted.rejected_lines(), 0);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "no temp file left");
         let _ = fs::remove_dir_all(&dir);
     }
 }

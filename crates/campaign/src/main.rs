@@ -1094,6 +1094,19 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
+    // A whole-grid run is the only writer of its cache, so on a clean
+    // close it leaves the file in scenario-id order (shard workers may
+    // share a cache with live siblings and never compact it).
+    if let Some(cache) = &cache {
+        if let Err(e) = cache.compact() {
+            eprintln!(
+                "campaign: cannot compact cache {}: {e}",
+                cache.path().display()
+            );
+            return ExitCode::FAILURE;
+        }
+    }
+
     let report = aggregate(&grid, &result);
     let jsonl = to_jsonl_string(&report);
 

@@ -36,7 +36,8 @@
 //! RUN_DIR/
 //!   manifest.json     worker count + grid fingerprint (resume validation)
 //!   grid.json         the full grid descriptor workers run (--grid-file)
-//!   cache/            shared outcome cache (crash-recovery ledger)
+//!   cache/            shared outcome cache (crash-recovery ledger;
+//!                     compacted to id order once every shard is sealed)
 //!   progress/         shard-I.attempt-K.jsonl worker event streams
 //!   shards/           shard-I.jsonl.partial → (validate+rename) shard-I.jsonl
 //!   events.jsonl      seq-numbered machine-readable supervision record

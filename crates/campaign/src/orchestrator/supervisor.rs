@@ -9,6 +9,7 @@
 
 use super::events::{parse_progress_line, EventLog, ProgressBody, ProgressEvent};
 use super::{InjectAbort, OrchestrateReport, OrchestratorConfig, RunDir};
+use crate::cache::OutcomeCache;
 use crate::grid::ScenarioGrid;
 use crate::report::{aggregate, aggregate_covered, to_jsonl_string};
 use crate::runner::OutcomeSource;
@@ -602,6 +603,11 @@ pub(super) fn run(
     if merged_grid.fingerprint() != grid.fingerprint() {
         return Err("merged grid does not match the run's grid".to_string());
     }
+    // Every worker has exited, so nothing appends to the shared cache any
+    // more: leave it in scenario-id order before the run is declared done.
+    OutcomeCache::open(&layout.cache_dir(), grid)
+        .and_then(|cache| cache.compact())
+        .map_err(|e| format!("cannot compact the outcome cache: {e}"))?;
     let report = aggregate(&merged_grid, &result);
     let merged_jsonl = to_jsonl_string(&report);
     fs::write(layout.merged_path(), &merged_jsonl)

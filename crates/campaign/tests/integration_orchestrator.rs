@@ -60,12 +60,32 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// The single-process golden run. It also fills `DIR/golden-cache`, whose
+/// compacted outcome file an orchestrated run's shared cache must match.
 fn golden_report(dir: &Path) -> String {
     let golden = dir.join("golden.jsonl");
-    let mut args = vec!["--threads", "1", "--out", golden.to_str().unwrap()];
+    let cache = dir.join("golden-cache");
+    let mut args = vec![
+        "--threads",
+        "1",
+        "--out",
+        golden.to_str().unwrap(),
+        "--cache-dir",
+        cache.to_str().unwrap(),
+    ];
     args.extend_from_slice(GRID_FLAGS);
     run_ok(&args);
     fs::read_to_string(&golden).unwrap()
+}
+
+/// The bytes of the one outcome-cache file under `cache_dir`.
+fn cache_bytes(cache_dir: &Path) -> Vec<u8> {
+    let files: Vec<PathBuf> = fs::read_dir(cache_dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "one cache file expected: {files:?}");
+    fs::read(&files[0]).unwrap()
 }
 
 #[test]
@@ -90,6 +110,12 @@ fn orchestrated_run_matches_single_process_byte_for_byte() {
     // At full coverage the live partial report equals the final one.
     let partial = fs::read_to_string(run_dir.join("partial.jsonl")).unwrap();
     assert_eq!(partial, golden, "full-coverage partial equals the report");
+    // Workers appended in completion order; the closed run's cache is
+    // compacted to the same bytes as the single-process one.
+    assert!(
+        cache_bytes(&run_dir.join("cache")) == cache_bytes(&dir.join("golden-cache")),
+        "orchestrated cache must be compacted to id order"
+    );
 
     // `campaign merge` accepts the run directory directly (satellite: a
     // directory argument stands for the sealed shard files inside it).
@@ -188,6 +214,10 @@ fn killed_run_resumes_byte_identical() {
     ]);
     let merged = fs::read_to_string(run_dir.join("merged.jsonl")).unwrap();
     assert_eq!(merged, golden, "resume must be byte-identical");
+    assert!(
+        cache_bytes(&run_dir.join("cache")) == cache_bytes(&dir.join("golden-cache")),
+        "resumed cache must be compacted to id order"
+    );
 
     // The event log carries both phases (append-continued seq) and never
     // any wall-clock field.

@@ -1,14 +1,16 @@
 //! Latency-aware gossip: rotating row pulls with in-flight deliveries.
 //!
 //! [`StaleControl`] models the paper's §6 BitTorrent-like relaxation as
-//! events. Each node runs a periodic `GossipExchange`: it pulls the full
+//! events. Each node runs a periodic `GossipExchange`: it pulls the
 //! buffer-count rows of `peers_per_refresh` peers, chosen by a
 //! deterministic round-robin cursor that skips the node itself, but the
 //! pulled rows are *snapshots in flight* — they arrive after the classical
 //! propagation delay of the node↔peer fibre path plus a fixed processing
 //! delay, and are installed into the puller's [`KnowledgeView`] only once
-//! matured. Between refreshes of a row, the believed count drifts from
-//! truth; that drift is the staleness the §6 curves measure.
+//! matured. A snapshot is the peer's sparse `(peer, count)` list, so one
+//! row transfer costs O(degree), not O(N). Between refreshes of a row, the
+//! believed count drifts from truth; that drift is the staleness the §6
+//! curves measure.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -17,11 +19,12 @@ use qnet_sim::{SimDuration, SimTime};
 use qnet_topology::{NodeId, NodePair};
 
 use super::latency::{PropagationDelays, PROCESSING_DELAY_S};
-use super::views::KnowledgeView;
+use super::views::{KnowledgeView, SparseRow};
 use crate::inventory::Inventory;
 
-/// A pulled row travelling the classical network: `owner`'s counts as read
-/// at `read_at`, destined for `dest`'s view once `deliver_at` passes.
+/// A pulled row travelling the classical network: `owner`'s nonzero
+/// `(peer, count)` list as read at `read_at`, destined for `dest`'s view
+/// once `deliver_at` passes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Delivery {
     deliver_at: SimTime,
@@ -30,7 +33,7 @@ struct Delivery {
     dest: u32,
     owner: u32,
     read_at: SimTime,
-    row: Vec<u64>,
+    row: SparseRow,
 }
 
 impl Ord for Delivery {
@@ -43,6 +46,16 @@ impl PartialOrd for Delivery {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// Snapshot `owner`'s row from ground truth in O(degree). Counts beyond
+/// `u32::MAX` (no pool comes near) saturate.
+fn snapshot_row(truth: &Inventory, owner: NodeId) -> SparseRow {
+    truth
+        .peer_counts(owner)
+        .iter()
+        .map(|&(peer, count)| (peer, u32::try_from(count).unwrap_or(u32::MAX)))
+        .collect()
 }
 
 /// The event-driven stale control plane: one [`KnowledgeView`] per node,
@@ -124,10 +137,11 @@ impl StaleControl {
         self.in_flight.len()
     }
 
-    /// Run one gossip exchange for `node` at `now`: snapshot the rows of
-    /// its next `peers_per_refresh` rotating peers from ground truth and
-    /// put them in flight towards `node`'s view. Returns the number of
-    /// row-transfer messages issued (the classical-overhead unit).
+    /// Run one gossip exchange for `node` at `now`: snapshot the sparse
+    /// rows of its next `peers_per_refresh` rotating peers from ground
+    /// truth and put them in flight towards `node`'s view. Returns the
+    /// number of row-transfer messages issued (the classical-overhead
+    /// unit).
     ///
     /// Each node's cursor starts at peer 0, skips the node itself and
     /// wraps around, so coverage rotates over every other node.
@@ -144,15 +158,6 @@ impl StaleControl {
             }
             self.cursor[node.index()] = (peer + 1) % n;
             let peer_id = NodeId::from(peer);
-            let row: Vec<u64> = (0..n)
-                .map(|other| {
-                    if other == peer {
-                        0
-                    } else {
-                        truth.count(NodePair::new(peer_id, NodeId::from(other)))
-                    }
-                })
-                .collect();
             let deliver_at = now
                 + self.delays.duration(NodePair::new(node, peer_id))
                 + SimDuration::from_secs_f64(PROCESSING_DELAY_S);
@@ -163,7 +168,7 @@ impl StaleControl {
                 dest: node.index() as u32,
                 owner: peer as u32,
                 read_at: now,
-                row,
+                row: snapshot_row(truth, peer_id),
             }));
             issued += 1;
         }
@@ -179,7 +184,7 @@ impl StaleControl {
                 break;
             }
             let Reverse(d) = self.in_flight.pop().expect("peeked entry exists");
-            self.views[d.dest as usize].install_row(NodeId(d.owner), d.read_at, &d.row);
+            self.views[d.dest as usize].install_row(NodeId(d.owner), d.read_at, d.row);
         }
     }
 }
@@ -230,6 +235,50 @@ mod tests {
         // Node 2's cursor starts at peer 0, whose row holds pair (0,1).
         assert_eq!(ctl.view(NodeId(2)).count(pair(0, 1)), 3);
         assert_eq!(ctl.view(NodeId(2)).row_refreshed_at(NodeId(0)), t0);
+    }
+
+    #[test]
+    fn snapshots_are_the_owners_sparse_row_and_empty_rows_still_refresh() {
+        let mut ctl = control(3, 1, 0.25);
+        let mut inv = Inventory::new(3);
+        inv.add_pair(pair(0, 2)).unwrap();
+        inv.add_pair(pair(0, 2)).unwrap();
+        let settle = SimDuration::from_secs_f64(0.5);
+
+        // Node 2 pulls peer 0: the in-flight row is exactly peer 0's
+        // `peer_counts`, and it lands as such.
+        let t0 = SimTime::from_secs(1);
+        ctl.exchange(t0, NodeId(2), &inv);
+        let Reverse(head) = ctl.in_flight.peek().expect("a row is in flight");
+        assert_eq!(head.owner, 0);
+        let carried: Vec<(NodeId, u64)> = head
+            .row
+            .iter()
+            .map(|&(peer, count)| (peer, u64::from(count)))
+            .collect();
+        assert_eq!(carried, inv.peer_counts(NodeId(0)));
+        ctl.deliver_matured(t0 + settle);
+        assert_eq!(ctl.view(NodeId(2)).count(pair(0, 2)), 2);
+
+        // Next it pulls peer 1, which holds no pairs: an empty row.
+        let t1 = SimTime::from_secs(2);
+        ctl.exchange(t1, NodeId(2), &inv);
+        let Reverse(head) = ctl.in_flight.peek().expect("a row is in flight");
+        assert_eq!(head.owner, 1);
+        assert!(head.row.is_empty());
+        ctl.deliver_matured(t1 + settle);
+        assert_eq!(ctl.view(NodeId(2)).row_refreshed_at(NodeId(1)), t1);
+
+        // Peer 0 drains; its next (empty) row still refreshes the row and
+        // zeroes the count it carried before.
+        inv.remove_pairs(pair(0, 2), 2).unwrap();
+        let t2 = SimTime::from_secs(3);
+        ctl.exchange(t2, NodeId(2), &inv);
+        ctl.deliver_matured(t2 + settle);
+        let view = ctl.view(NodeId(2));
+        assert_eq!(view.row_refreshed_at(NodeId(0)), t2);
+        assert_eq!(view.count(pair(0, 2)), 0);
+        assert!(view.nonzero_pairs().is_empty());
     }
 
     #[test]

@@ -5,11 +5,14 @@
 //! relaxation *simulable* instead of merely counted: under
 //! [`crate::classical::KnowledgeModel::Gossip`] every node holds a
 //! [`KnowledgeView`] — its possibly-stale copy of the network-wide
-//! buffer-count state — refreshed by periodic latency-delayed gossip
-//! exchanges ([`StaleControl`]), while the world keeps mutating ground
-//! truth. Policies then decide on *believed* counts, and actions proposed
-//! on stale rows can miss when truth has drifted — a distinct failure
-//! class with its own observer hook, trace record, and run metrics.
+//! buffer-count state, held as one sparse `(peer, count)` row per owner —
+//! refreshed by periodic latency-delayed gossip exchanges
+//! ([`StaleControl`]) that each carry one such row, while the world keeps
+//! mutating ground truth. The plane's memory grows with live pairs
+//! (O(N · Σ degree)), not with N³. Policies then decide on *believed*
+//! counts, and actions proposed on stale rows can miss when truth has
+//! drifted — a distinct failure class with its own observer hook, trace
+//! record, and run metrics.
 //!
 //! Gossip knowledge always runs this latency-aware plane;
 //! [`KnowledgeModel::Global`] never builds a control plane at all and
@@ -23,7 +26,7 @@ pub mod views;
 
 pub use gossip::StaleControl;
 pub use latency::{PropagationDelays, DEFAULT_HOP_KM, FIBER_KM_PER_S, PROCESSING_DELAY_S};
-pub use views::{KnowledgeView, OwnerAwareView};
+pub use views::{KnowledgeView, OwnerAwareView, SparseRow};
 
 use qnet_topology::NodePair;
 

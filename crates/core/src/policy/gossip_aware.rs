@@ -155,7 +155,11 @@ mod tests {
     #[test]
     fn fresh_rows_pass_through_and_old_rows_decay() {
         let mut view = KnowledgeView::new(4);
-        view.install_row(NodeId(2), SimTime::from_secs_f64(10.0), &[6, 0, 0, 0]);
+        view.install_row(
+            NodeId(2),
+            SimTime::from_secs_f64(10.0),
+            vec![(NodeId(0), 6)],
+        );
         // Read just now: full believed count survives.
         let now = SimTime::from_secs_f64(10.0);
         let fresh = AgeDiscountedView::new(&view, now, 1.0);
@@ -180,8 +184,8 @@ mod tests {
             inv.add_pair(pair(1, 2)).unwrap();
         }
         let mut view = KnowledgeView::new(3);
-        view.install_row(NodeId(0), SimTime::ZERO, &[0, 0, 5]);
-        view.install_row(NodeId(2), SimTime::ZERO, &[5, 0, 0]);
+        view.install_row(NodeId(0), SimTime::ZERO, vec![(NodeId(2), 5)]);
+        view.install_row(NodeId(2), SimTime::ZERO, vec![(NodeId(0), 5)]);
         let now = SimTime::from_secs_f64(20.0);
         let balancer = BalancerPolicy;
         let overhead = |_: NodePair| 1.0;

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use qnet_core::balancer::{BalancerPolicy, CountView};
-use qnet_core::control::{PropagationDelays, StaleControl, PROCESSING_DELAY_S};
+use qnet_core::control::{
+    KnowledgeView, PropagationDelays, SparseRow, StaleControl, PROCESSING_DELAY_S,
+};
 use qnet_core::inventory::{Inventory, InventoryError, PairLot};
 use qnet_core::nested::{nested_swap_cost, nested_swap_cost_with_joins};
 use qnet_core::physics::PhysicsModel;
@@ -13,7 +15,7 @@ use qnet_core::workload::{PairSelection, WorkloadSpec};
 use qnet_quantum::decoherence::DecoherenceModel;
 use qnet_quantum::swap::swap_werner_fidelity;
 use qnet_sim::{SimDuration, SimTime};
-use qnet_topology::{builders, NodeId, NodePair, PathOracle, Topology};
+use qnet_topology::{builders, NodeId, NodePair, PairMatrix, PathOracle, Topology};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Build a cycle-topology stale control plane plus the matching delay
@@ -186,6 +188,89 @@ impl InventoryModel {
             self.removed
         )
     }
+}
+
+/// Dense reference for the sparse [`KnowledgeView`]: one `PairMatrix`
+/// of believed counts plus one read time per row, with latest-read-wins
+/// installs that overwrite every `(owner, x)` entry. A pair therefore
+/// holds whatever the last accepted install of either endpoint's row
+/// carried.
+struct DenseViewModel {
+    n: usize,
+    counts: PairMatrix<u64>,
+    read_at: Vec<SimTime>,
+}
+
+impl DenseViewModel {
+    fn new(n: usize) -> Self {
+        DenseViewModel {
+            n,
+            counts: PairMatrix::new(n),
+            read_at: vec![SimTime::ZERO; n],
+        }
+    }
+
+    fn install_row(&mut self, owner: NodeId, read_at: SimTime, row: &[(NodeId, u32)]) {
+        if read_at < self.read_at[owner.index()] {
+            return;
+        }
+        self.read_at[owner.index()] = read_at;
+        let mut dense = vec![0u64; self.n];
+        for &(peer, count) in row {
+            dense[peer.index()] = u64::from(count);
+        }
+        for (other, &count) in dense.iter().enumerate() {
+            if other != owner.index() {
+                self.counts
+                    .set(NodePair::new(owner, NodeId::from(other)), count);
+            }
+        }
+    }
+
+    fn count(&self, pair: NodePair) -> u64 {
+        *self.counts.get(pair)
+    }
+
+    fn pair_refreshed_at(&self, pair: NodePair) -> SimTime {
+        self.read_at[pair.lo().index()].max(self.read_at[pair.hi().index()])
+    }
+
+    fn nonzero_pairs(&self) -> Vec<(NodePair, u64)> {
+        qnet_topology::pairs::all_pairs(self.n)
+            .map(|p| (p, self.count(p)))
+            .filter(|&(_, c)| c > 0)
+            .collect()
+    }
+
+    /// The owner-aware overlay: pairs touching `owner` from `truth`, the
+    /// rest believed; pairs listed believed-first, then the owner's own.
+    fn owner_nonzero_pairs(&self, owner: NodeId, truth: &Inventory) -> Vec<(NodePair, u64)> {
+        let mut pairs: Vec<(NodePair, u64)> = self
+            .nonzero_pairs()
+            .into_iter()
+            .filter(|(p, _)| !p.contains(owner))
+            .collect();
+        for &(peer, count) in truth.peer_counts(owner) {
+            pairs.push((NodePair::new(owner, peer), count));
+        }
+        pairs
+    }
+}
+
+/// A sparse row as gossip carries it: ascending peers, nonzero counts,
+/// never the owner itself (later duplicates win).
+fn random_row(n: usize, owner: usize, entries: &[(usize, u32)]) -> SparseRow {
+    let mut row: BTreeMap<usize, u32> = BTreeMap::new();
+    for &(peer, count) in entries {
+        let peer = peer % n;
+        if peer != owner {
+            row.insert(peer, count);
+        }
+    }
+    row.into_iter()
+        .filter(|&(_, count)| count > 0)
+        .map(|(peer, count)| (NodeId::from(peer), count))
+        .collect()
 }
 
 proptest! {
@@ -588,6 +673,50 @@ proptest! {
                     node,
                     p
                 );
+            }
+        }
+    }
+
+    /// The sparse believed rows answer exactly like the dense
+    /// latest-read-wins matrix they replaced: counts, freshness, the
+    /// sorted nonzero-pair list and the owner-aware overlay, after every
+    /// install of a random sequence with out-of-order and equal read
+    /// times and empty rows.
+    #[test]
+    fn sparse_view_matches_the_dense_reference(
+        n in 2usize..9,
+        installs in proptest::collection::vec(
+            (0usize..9, 0u32..6, proptest::collection::vec((0usize..9, 0u32..4), 0..6)),
+            0..40,
+        ),
+        truth_ops in proptest::collection::vec((0usize..9, 0usize..9), 0..30),
+    ) {
+        let mut truth = Inventory::new(n);
+        for (a, b) in truth_ops {
+            if let Some(p) = pair_from(n, a, b) {
+                truth.add_pair(p).unwrap();
+            }
+        }
+        let mut view = KnowledgeView::new(n);
+        let mut model = DenseViewModel::new(n);
+        for (owner, read_s, entries) in installs {
+            let owner = owner % n;
+            let row = random_row(n, owner, &entries);
+            let read_at = SimTime::from_secs(u64::from(read_s));
+            model.install_row(NodeId::from(owner), read_at, &row);
+            view.install_row(NodeId::from(owner), read_at, row);
+            for p in qnet_topology::pairs::all_pairs(n) {
+                prop_assert_eq!(view.count(p), model.count(p), "count of {}", p);
+                prop_assert_eq!(view.pair_refreshed_at(p), model.pair_refreshed_at(p));
+            }
+            prop_assert_eq!(view.nonzero_pairs(), model.nonzero_pairs());
+            for me in (0..n).map(NodeId::from) {
+                let overlay = view.for_owner(me, &truth);
+                for p in qnet_topology::pairs::all_pairs(n) {
+                    let expected = if p.contains(me) { truth.count(p) } else { model.count(p) };
+                    prop_assert_eq!(overlay.count(p), expected, "owner {:?} pair {}", me, p);
+                }
+                prop_assert_eq!(overlay.nonzero_pairs(), model.owner_nonzero_pairs(me, &truth));
             }
         }
     }

@@ -519,9 +519,11 @@
 //! simulates it. Under [`core::classical::KnowledgeModel::Gossip`] with a
 //! nonzero refresh period, every node holds a
 //! [`core::control::KnowledgeView`]: its possibly-stale copy of the
-//! network-wide buffer-count rows, refreshed by a rotating-peer gossip
-//! schedule ([`core::control::StaleControl`]) whose row transfers arrive
-//! only after the classical propagation delay of the node↔peer fiber path
+//! network-wide buffer-count rows, each held sparse as the owner's nonzero
+//! `(peer, count)` list. A rotating-peer gossip schedule
+//! ([`core::control::StaleControl`]) refreshes them; each row transfer
+//! snapshots one such list in O(degree) and arrives only after the
+//! classical propagation delay of the node↔peer fiber path
 //! ([`core::control::PropagationDelays`]: link lengths from the fabric
 //! when one is configured, 200 000 km/s in fiber, plus a fixed processing
 //! delay). Policies decide on *believed* counts while the world mutates
